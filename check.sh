@@ -5,20 +5,8 @@
 #   ./check.sh         full gate
 #   ./check.sh bench   pinned benchmark subset vs committed BENCH.json
 #   ./check.sh alloc   alloc-budget tests + allocs/op regression gate
-#   ./check.sh robust  fault-injection + cancellation suites under -race
 #   ./check.sh cover   coverage run with the ratcheted floor (COVER_FLOOR)
 #   ./check.sh fuzz    30s smoke of the pinned fuzz targets
-#   ./check.sh serve   serving-layer suites (cache/singleflight/admission) under -race
-#   ./check.sh shard   shard decomposition matrix (fall-through, determinism,
-#                      component equivalence, cancel) under -race
-#   ./check.sh dist    distributed fan-out: envelope unit suites + the
-#                      distributed-vs-local matrix over live backends, -race
-#   ./check.sh store   durable solve store: persistence suites under -race,
-#                      incl. the kill-and-replay crash matrix and the
-#                      warm-restart byte-identity pins
-#   ./check.sh session incremental session engine: unit + churn byte-identity
-#                      matrix, window cancellation/degeneracy pins, and the
-#                      session HTTP API, all under -race
 set -e
 
 # Ratcheted coverage floor (percentage points). CI fails when total
@@ -89,107 +77,12 @@ if [ "$1" = "fuzz" ]; then
     go test -run '^$' -fuzz '^FuzzReadInstanceJSON$' -fuzztime "$fuzztime" ./internal/model/
     go test -run '^$' -fuzz '^FuzzReadSolutionJSON$' -fuzztime "$fuzztime" ./internal/model/
     go test -run '^$' -fuzz '^FuzzShardStitch$' -fuzztime "$fuzztime" ./internal/shard/
-    go test -run '^$' -fuzz '^FuzzShardWire$' -fuzztime "$fuzztime" ./internal/shard/
     go test -run '^$' -fuzz '^FuzzStoreRecord$' -fuzztime "$fuzztime" ./internal/store/
     go test -run '^$' -fuzz '^FuzzWindowJSON$' -fuzztime "$fuzztime" ./internal/window/
     echo "FUZZ SMOKE PASSED"
     exit 0
 fi
 
-if [ "$1" = "dist" ]; then
-    # The distributed fan-out is concurrency all the way down (hedging
-    # races, breaker state machines, the scatter itself), so everything
-    # here runs -race: the envelope's unit suites, then the
-    # distributed-vs-local byte-identity matrix against live in-process
-    # backends — healthy pools, dead pools, mid-scatter backend death,
-    # forced hedging, open breakers, and the transport fault sites.
-    echo "== dist envelope: routing + retry/hedge/breaker units (-race) =="
-    go test -race -timeout 10m -count=1 ./internal/dist/
-    echo "== dist matrix: distributed-vs-local byte identity (-race, workers 1/2/8) =="
-    go test -race -timeout 15m -count=1 -run 'TestDist' ./internal/difftest/
-    go build ./cmd/sapserved ./cmd/sapstress
-    echo "DIST GATE PASSED"
-    exit 0
-fi
-
-if [ "$1" = "store" ]; then
-    # The durable solve store is crash-recovery code: everything runs under
-    # -race, including the re-exec kill-and-replay suite (a child process
-    # dies over the faultinject torn-write site — and once via SIGKILL —
-    # and this process replays the directory), the serving layer's
-    # read-through wiring, and the end-to-end warm-restart and torn-tail
-    # difftest pins.
-    echo "== store: record codec + merkle chain + file store (-race) =="
-    go test -race -timeout 10m -count=1 ./internal/store/ ./cmd/sapstore/
-    echo "== store: kill-and-replay crash recovery (-race) =="
-    go test -race -timeout 10m -count=1 -run 'TestStoreCrash' ./internal/store/
-    echo "== store: serving-layer read-through + warm restart (-race) =="
-    go test -race -timeout 10m -count=1 -run 'TestServeStore|TestRetryAfter|TestBacked' ./internal/serve/ ./internal/sapcache/
-    echo "== store: difftest warm-restart + torn-tail pins (-race) =="
-    go test -race -timeout 15m -count=1 -run 'TestStore' ./internal/difftest/
-    go build ./cmd/sapserved ./cmd/sapstore
-    echo "STORE GATE PASSED"
-    exit 0
-fi
-
-if [ "$1" = "session" ]; then
-    # The incremental engine's contract is byte-identity with a cold solve
-    # under concurrent churn, so everything runs -race: the session/table
-    # unit suites, the difftest churn matrix (workers 1/2/8) plus the
-    # window cancellation and degenerate-window pins that rode along, and
-    # the session HTTP API (lifecycle, admission bound, draining,
-    # concurrent deltas).
-    echo "== session engine: delta/cache/table units (-race) =="
-    go test -race -timeout 10m -count=1 ./internal/session/ ./internal/window/
-    echo "== session churn matrix: incremental-vs-cold byte identity (-race, workers 1/2/8) =="
-    go test -race -timeout 15m -count=1 -run 'TestSession|TestWindowCancel|TestWindowDegenerate' ./internal/difftest/
-    echo "== session HTTP API (-race) =="
-    go test -race -timeout 10m -count=1 -run 'TestServeSession' ./internal/serve/
-    go build ./cmd/sapserved ./cmd/sapstress
-    echo "SESSION GATE PASSED"
-    exit 0
-fi
-
-if [ "$1" = "serve" ]; then
-    # The serving layer's whole value is concurrent behaviour (cache,
-    # singleflight, admission control), so its suites always run -race.
-    echo "== serving layer: cache + singleflight + admission (-race) =="
-    go test -race -timeout 10m -count=1 ./internal/sapcache/ ./internal/serve/
-    echo "== serving layer: differential matrix over HTTP (-race) =="
-    go test -race -timeout 15m -count=1 -run 'TestServeMatches' ./internal/difftest/
-    go build ./cmd/sapserved
-    echo "SERVE GATE PASSED"
-    exit 0
-fi
-
-if [ "$1" = "shard" ]; then
-    # The decomposition's correctness matrix: byte-identical fall-through
-    # on undecomposable instances, workers-determinism and per-shard
-    # component equivalence on archipelagos, cancel-mid-scatter partials,
-    # and the copy-on-write capacity contract — all under the race
-    # detector, since the scatter is the coarsest concurrency in the
-    # pipeline. The parallel-determinism matrix rides along: sharding is on
-    # by default, so it now covers the fall-through dispatch too.
-    echo "== shard decomposition matrix (-race, workers 1/2/8) =="
-    go test -race -timeout 15m -count=1 -run 'TestShard|TestParallelDeterminism' ./internal/difftest/
-    go test -race -timeout 10m -count=1 ./internal/shard/ ./internal/gen/
-    echo "SHARD GATE PASSED"
-    exit 0
-fi
-
-if [ "$1" = "robust" ]; then
-    # The -timeout doubles as the hang gate: an injected fault that wedges
-    # a solver trips the suite instead of stalling CI forever.
-    echo "== robustness: fault-injection matrix + cancellation (-race) =="
-    go test -race -timeout 10m -count=1 \
-        -run 'TestFaultInjection|TestCancelMidSolve|TestDeadline|TestSolveCtx|TestArmPanic|TestAllArms|TestForEachCtx|TestForEachPanic' \
-        ./internal/difftest/ ./internal/core/ ./internal/par/
-    go test -race -timeout 5m -count=1 ./internal/faultinject/ ./internal/saperr/
-    echo "== robustness: hardened-input fuzz seeds =="
-    go test -timeout 5m -count=1 -run Fuzz ./internal/model/
-    echo "ROBUSTNESS GATE PASSED"
-    exit 0
-fi
 echo "== gofmt =="
 test -z "$(gofmt -l .)" || { gofmt -l .; echo "gofmt: files need formatting"; exit 1; }
 echo "== go vet =="
@@ -197,11 +90,13 @@ go vet ./...
 echo "== go test =="
 go test ./...
 echo "== race =="
-# Race-check everything: a hard-coded package list silently rots as
-# concurrency spreads (it had already missed core's parallel arms). The
-# explicit timeout covers the parallel-determinism matrix, which solves
-# every difftest case three times under the race detector.
-go test -race -timeout 30m ./...
+# Race-check everything in one run: a hard-coded package or test list
+# silently rots as concurrency spreads (it had already missed core's
+# parallel arms). -count=1 forces a fresh run past the test cache. The
+# explicit timeout is the hang gate (an injected fault that wedges a solver
+# trips it) and covers the parallel-determinism matrix, which solves every
+# difftest case three times under the race detector.
+go test -race -count=1 -timeout 30m ./...
 echo "== soak (10s) =="
 go run ./cmd/sapstress -duration 10s -seed 1
 echo "== benches (1x) =="

@@ -25,14 +25,6 @@
 // are refused with Retry-After, and in-flight requests get -grace to
 // finish before the listener closes.
 //
-// With -peers, decomposable solves scatter their shards over the named
-// sapserved backends (POST /v1/shard) through internal/dist's robustness
-// envelope — retries, hedging, circuit breakers, and local fallback — so a
-// sick or absent pool degrades to the single-node behaviour rather than
-// failing requests:
-//
-//	sapserved -addr :8080 -peers http://node1:8080,http://node2:8080
-//
 // With -store-dir, solved responses persist in the durable, tamper-evident
 // solve store (internal/store). A restarted server replays and verifies
 // the Merkle-chained log — truncating a crash's torn tail — and serves
@@ -52,12 +44,10 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
 	"sapalloc/internal/core"
-	"sapalloc/internal/dist"
 	"sapalloc/internal/obscli"
 	"sapalloc/internal/serve"
 	"sapalloc/internal/store"
@@ -82,16 +72,6 @@ func main() {
 		storeDir    = flag.String("store-dir", "", "durable solve store directory (empty = no persistence); restarts replay and verify the log and serve stored responses byte-identically")
 		storeSync   = flag.Duration("store-flush-interval", 0, "store write-batch latency trigger (0 = 50ms)")
 		storeFsync  = flag.Bool("store-sync", false, "fsync the store after every batch (host-crash durability at a latency cost)")
-
-		peers           = flag.String("peers", "", "comma-separated backend base URLs for distributed shard fan-out (empty = solve everything locally)")
-		rpcTimeout      = flag.Duration("rpc-timeout", 0, "per-attempt shard RPC deadline (0 = 2s, negative = parent deadline only)")
-		rpcRetries      = flag.Int("rpc-retries", 0, "remote attempts per shard (0 = 3, negative = no retries)")
-		hedgeAfter      = flag.Duration("hedge-after", 0, "hedge a shard RPC after this quiet period (0 = 50ms floor raised to the backend p95, negative = no hedging)")
-		breakerFails    = flag.Int("breaker-failures", 0, "consecutive failures that open a backend's breaker (0 = 5, negative = no breaker)")
-		breakerWindow   = flag.Duration("breaker-window", 0, "error-rate observation window (0 = 10s)")
-		breakerRate     = flag.Float64("breaker-rate", 0, "windowed error rate that opens the breaker (0 = 0.5)")
-		breakerCooldown = flag.Duration("breaker-cooldown", 0, "open-breaker cooldown before half-open probes (0 = 5s)")
-		healthInterval  = flag.Duration("health-interval", 5*time.Second, "active /healthz probe period for tripped breakers (0 = no prober)")
 	)
 	obsFlags := obscli.RegisterServing(flag.CommandLine)
 	flag.Parse()
@@ -100,27 +80,6 @@ func main() {
 		fatalf("%v", err)
 	}
 	defer stopObs()
-
-	params := core.Params{Eps: *eps, Workers: *workers}
-	if list := splitPeers(*peers); len(list) > 0 {
-		pool, err := dist.New(dist.Config{
-			Peers:           list,
-			MaxAttempts:     *rpcRetries,
-			PerTryTimeout:   *rpcTimeout,
-			HedgeAfter:      *hedgeAfter,
-			BreakerFailures: *breakerFails,
-			BreakerWindow:   *breakerWindow,
-			BreakerRate:     *breakerRate,
-			BreakerCooldown: *breakerCooldown,
-			HealthInterval:  *healthInterval,
-		})
-		if err != nil {
-			fatalf("%v", err)
-		}
-		defer pool.Close()
-		params.Distributor = pool.Distributor
-		fmt.Fprintf(os.Stderr, "sapserved: distributing shards over %d peers\n", pool.Backends())
-	}
 
 	var solveStore *store.File
 	if *storeDir != "" {
@@ -146,7 +105,7 @@ func main() {
 	}
 
 	cfg := serve.Config{
-		Params:         params,
+		Params:         core.Params{Eps: *eps, Workers: *workers},
 		MaxTimeout:     *maxTimeout,
 		DefaultTimeout: *defTimeout,
 		Concurrency:    *concurrency,
@@ -196,18 +155,6 @@ func main() {
 		fatalf("serve: %v", err)
 	}
 	fmt.Fprintln(os.Stderr, "sapserved: drained, exiting")
-}
-
-// splitPeers parses the -peers list, dropping empty elements so trailing
-// commas are harmless.
-func splitPeers(s string) []string {
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
 }
 
 func fatalf(format string, args ...any) {

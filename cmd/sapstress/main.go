@@ -9,13 +9,6 @@
 //
 //	sapstress -duration 30s -workers 4
 //
-// With -peers, half the cases are archipelago instances whose shards
-// scatter over the named sapserved backends through internal/dist — the
-// same retry/hedge/breaker/fallback envelope production uses — and the
-// periodic summary grows a dist: section (RPCs, retries, hedges, breaker
-// trips, local fallbacks). Every invariant still holds under backend
-// failure because the envelope degrades to local solves.
-//
 // With -sessions, cases instead churn the incremental session engine: each
 // case opens a session over a random archipelago, drives a seeded stream of
 // add/remove deltas, and after every delta cross-checks the maintained
@@ -30,14 +23,12 @@ import (
 	"log"
 	"math/rand"
 	"os"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"sapalloc/internal/chendp"
 	"sapalloc/internal/core"
-	"sapalloc/internal/dist"
 	"sapalloc/internal/dsa"
 	"sapalloc/internal/exact"
 	"sapalloc/internal/gen"
@@ -56,7 +47,6 @@ func main() {
 		seed     = flag.Int64("seed", time.Now().UnixNano(), "base seed (printed for reproduction)")
 		timeout  = flag.Duration("timeout", 0, "per-case solve deadline (0 = none); degraded-but-feasible results pass, degradation-to-nothing is a failure")
 		interval = flag.Duration("metrics-interval", 5*time.Second, "with -metrics: period of the one-line metrics summary")
-		peers    = flag.String("peers", "", "comma-separated sapserved base URLs: scatter shard solves remotely through the dist envelope")
 		sessions = flag.Bool("sessions", false, "churn mode: each case drives an incremental session through seeded deltas, cross-checking every state against a cold solve")
 	)
 	obsFlags := obscli.Register(flag.CommandLine)
@@ -67,22 +57,6 @@ func main() {
 	}
 	defer stopObs()
 	fmt.Printf("sapstress: base seed %d, budget %s\n", *seed, *duration)
-
-	var pool *dist.Pool
-	if *peers != "" {
-		var list []string
-		for _, p := range strings.Split(*peers, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				list = append(list, p)
-			}
-		}
-		pool, err = dist.New(dist.Config{Peers: list})
-		if err != nil {
-			log.Fatalf("sapstress: %v", err)
-		}
-		defer pool.Close()
-		fmt.Printf("sapstress: distributing shards over %d peers\n", pool.Backends())
-	}
 
 	// Periodic one-line summary so long soaks show forward progress and
 	// counter drift without waiting for the exit dump.
@@ -96,9 +70,6 @@ func main() {
 				select {
 				case <-ticker.C:
 					line := obs.Summary()
-					if pool != nil {
-						line += " " + obs.DistSummary()
-					}
 					if *sessions {
 						line += " " + obs.SessionSummary()
 					}
@@ -115,6 +86,10 @@ func main() {
 	var mu sync.Mutex
 	firstFailure := ""
 
+	check := checkOne
+	if *sessions {
+		check = checkSessionChurn
+	}
 	w := par.Workers(*workers, 1<<30)
 	var wg sync.WaitGroup
 	for g := 0; g < w; g++ {
@@ -129,13 +104,7 @@ func main() {
 				// passed 1,000,003 iterations.) The printed reproducer
 				// seed is caseSeed itself, so replay stays exact.
 				caseSeed := *seed + i*int64(w) + int64(worker)
-				check := checkOne
-				if *sessions {
-					check = func(s int64, to time.Duration, _ *dist.Pool) string {
-						return checkSessionChurn(s, to)
-					}
-				}
-				if msg := check(caseSeed, *timeout, pool); msg != "" {
+				if msg := check(caseSeed, *timeout); msg != "" {
 					atomic.AddInt64(&failures, 1)
 					mu.Lock()
 					if firstFailure == "" {
@@ -235,38 +204,19 @@ func checkSessionChurn(seed int64, timeout time.Duration) string {
 // bounds the combined solve: degraded-but-feasible results still pass every
 // downstream invariant, and degradation-to-nothing (a typed error with no
 // solution) counts as a failure so the soak flags hangs and dead arms.
-func checkOne(seed int64, timeout time.Duration, pool *dist.Pool) string {
+func checkOne(seed int64, timeout time.Duration) string {
 	r := rand.New(rand.NewSource(seed))
-	var in *model.Instance
-	if pool != nil && seed%2 == 0 {
-		// Distributed mode: every other case is an archipelago, so the
-		// zero-load-cut decomposition produces shards for the pool to
-		// scatter (a non-decomposable instance never leaves the process).
-		in = gen.Archipelago(gen.ArchipelagoConfig{
-			Seed:           seed,
-			Islands:        2 + r.Intn(4),
-			IslandEdges:    1 + r.Intn(6),
-			GapEdges:       r.Intn(3),
-			TasksPerIsland: 1 + r.Intn(10),
-			CapLo:          16, CapHi: 65,
-			Class: gen.Class(r.Intn(4)),
-		})
-	} else {
-		in = gen.Random(gen.Config{
-			Seed:  seed,
-			Edges: 2 + r.Intn(8),
-			Tasks: 1 + r.Intn(16),
-			CapLo: 4 + r.Int63n(28),
-			CapHi: 33 + r.Int63n(96),
-			Class: gen.Class(r.Intn(4)),
-		})
-	}
+	in := gen.Random(gen.Config{
+		Seed:  seed,
+		Edges: 2 + r.Intn(8),
+		Tasks: 1 + r.Intn(16),
+		CapLo: 4 + r.Int63n(28),
+		CapHi: 33 + r.Int63n(96),
+		Class: gen.Class(r.Intn(4)),
+	})
 
 	// 1. Combined pipeline feasibility + LP dominance.
 	params := core.Params{Exact: exact.Options{MaxNodes: 200_000}, Deadline: timeout}
-	if pool != nil {
-		params.Distributor = pool.Distributor
-	}
 	res, err := core.SolveCtx(context.Background(), in, params)
 	if err != nil {
 		return fmt.Sprintf("core.SolveCtx (degradation-to-nothing): %v", err)

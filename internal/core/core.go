@@ -75,19 +75,6 @@ type Params struct {
 	// verification off; decomposition preserves feasibility and every
 	// per-theorem factor, since OPT separates across the cuts.
 	Shard shard.Options
-	// Distributor, when non-nil, is consulted once per sharded solve to
-	// build the shard solver: it receives the shard count and the local
-	// in-process solver, and returns a (possibly remote-routing) solver
-	// plus a per-shard accessor — the route taken and, for remotely
-	// solved shards, the backend-reported arm stats — consulted after the
-	// scatter. The distributed pool client (internal/dist) provides an
-	// implementation;
-	// core itself stays transport-agnostic. The returned solver MUST be
-	// anytime-degradable — shards it cannot place remotely fall back to
-	// the local solver, never to an error — so a fully partitioned network
-	// degrades to exactly the undistributed sharded solve. nil (the
-	// default) solves every shard in-process.
-	Distributor func(shards int, local shard.Solver) (shard.Solver, func(int) shard.Remote)
 }
 
 func (p Params) withDefaults() Params {
@@ -254,7 +241,7 @@ func SolveCtx(ctx context.Context, in *model.Instance, p Params) (res *Result, e
 		// common dense case — fall through to the monolithic pipeline
 		// after one O(tasks+edges) scan.
 		if plan := shard.Compute(ctx, in); plan.Decomposes() {
-			return solveSharded(ctx, start, in, plan, p)
+			return solveSharded(ctx, start, plan, p)
 		}
 	}
 	return solveMono(ctx, start, in, p)
@@ -416,15 +403,14 @@ func solveMono(ctx context.Context, start time.Time, in *model.Instance, p Param
 // shards and the Report (and Result.Shards) says which were lost. An error
 // is returned only when no shard completed, matching the monolithic "no
 // arm completed" contract.
-func solveSharded(ctx context.Context, start time.Time, in *model.Instance, plan *shard.Plan, p Params) (*Result, error) {
+func solveSharded(ctx context.Context, start time.Time, plan *shard.Plan, p Params) (*Result, error) {
 	inner := p
 	inner.Workers = 1
 	inner.Small.Workers = 1
 	inner.Shard.Disable = true // shards have no interior cut by construction
 	inner.Deadline = 0         // SolveCtx's prologue already armed the deadline on ctx
-	inner.Distributor = nil    // a shard is the leaf of the fan-out: never re-distribute
 	subResults := make([]*Result, plan.Len())
-	local := shard.Solver(func(ctx context.Context, i int, sub *model.Instance) (*model.Solution, error) {
+	sol, srep, err := plan.Scatter(ctx, p.Workers, p.Shard, func(ctx context.Context, i int, sub *model.Instance) (*model.Solution, error) {
 		r, err := solveMono(ctx, time.Now(), sub, inner)
 		if err != nil {
 			return nil, err
@@ -432,45 +418,16 @@ func solveSharded(ctx context.Context, start time.Time, in *model.Instance, plan
 		subResults[i] = r
 		return r.Solution, nil
 	})
-	solver := local
-	var remoteOf func(int) shard.Remote
-	if p.Distributor != nil {
-		solver, remoteOf = p.Distributor(plan.Len(), local)
-	}
-	sol, srep, err := plan.Scatter(ctx, p.Workers, p.Shard, solver)
-	if srep != nil && remoteOf != nil {
-		// Thread the distributed routing diagnostics into the report the
-		// caller (and the serve wire format) sees. A remote backend that
-		// answered with a degraded incumbent degrades the whole solve, the
-		// same as a local arm falling back to its incumbent would.
-		for i := range srep.Outcomes {
-			srep.Outcomes[i].Route = remoteOf(i).Route
-		}
-	}
 	if err != nil {
 		return nil, fmt.Errorf("core: sharded solve: %w", err)
 	}
 
 	res := &Result{Solution: sol, Shards: srep}
 	report := &SolveReport{Deadline: p.Deadline, Degraded: srep.Degraded()}
-	for _, oc := range srep.Outcomes {
-		if oc.Route.RemoteDegraded {
-			report.Degraded = true
-		}
-	}
 	for i := range report.Arms {
 		report.Arms[i].Arm = Arm(i)
 	}
-	for i, r := range subResults {
-		if r == nil && remoteOf != nil {
-			// Remotely solved shards never ran the local closure: rebuild
-			// the aggregate slice of their result from the arm stats the
-			// backend reported, so a distributed solve sums to exactly the
-			// Result an undistributed one produces.
-			if rem := remoteOf(i); rem.Stats != nil {
-				r = resultFromStats(rem.Stats, rem.Route.RemoteDegraded)
-			}
-		}
+	for _, r := range subResults {
 		if r == nil {
 			continue // failed or skipped shard; srep already counts it
 		}
@@ -516,34 +473,6 @@ func solveSharded(ctx context.Context, start time.Time, in *model.Instance, plan
 	report.Elapsed = time.Since(start)
 	res.Report = report
 	return res, nil
-}
-
-// resultFromStats rebuilds the aggregate slice of a remotely solved shard's
-// result — arm task counts, per-arm weights and states — from the wire
-// stats its backend reported. Solution and timing fields stay zero: the
-// stitched solution is assembled by Scatter, and the backend's wall-clock
-// is not this process's. Arm error text is rehydrated as an opaque error;
-// typed errors do not survive the wire, but only failed or skipped arms
-// carry one.
-func resultFromStats(st *shard.WireStats, degraded bool) *Result {
-	r := &Result{
-		Winner:       Arm(st.Winner),
-		NumSmall:     st.ArmTasks[0],
-		NumMedium:    st.ArmTasks[1],
-		NumLarge:     st.ArmTasks[2],
-		SmallWeight:  st.ArmWeights[0],
-		MediumWeight: st.ArmWeights[1],
-		LargeWeight:  st.ArmWeights[2],
-	}
-	rep := &SolveReport{Degraded: degraded}
-	for i := range rep.Arms {
-		rep.Arms[i] = ArmReport{Arm: Arm(i), State: ArmState(st.ArmStates[i]), Weight: st.ArmWeights[i]}
-		if st.ArmErrs[i] != "" {
-			rep.Arms[i].Err = errors.New(st.ArmErrs[i])
-		}
-	}
-	r.Report = rep
-	return r
 }
 
 // BestOf implements Lemma 3 generically: given per-family solutions with

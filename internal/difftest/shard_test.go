@@ -2,10 +2,12 @@ package difftest
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"testing"
 
 	"sapalloc/internal/core"
+	"sapalloc/internal/exact"
 	"sapalloc/internal/faultinject"
 	"sapalloc/internal/gen"
 	"sapalloc/internal/model"
@@ -105,47 +107,119 @@ func TestShardDeterminism(t *testing.T) {
 // decomposition: the sharded solve of the union must equal, byte for byte,
 // the manual stitch of independent public-API solves of each shard's
 // sub-instance — at every workers value, with per-shard verification on.
-// It also re-derives the aggregation: the stitched weight is the sum of the
-// per-shard weights, and the oracle accepts the stitched solution against
-// the original instance.
+// It also re-derives the aggregation from those per-shard solves: the
+// stitched weight and every per-arm task count and weight are the per-shard
+// sums, the arm counts cover every task, the winner is the heaviest
+// aggregated arm (small < medium < large on ties), each arm's state is its
+// worst per-shard state, and the oracle accepts the stitched solution
+// against the original instance.
+//
+// Two inputs make the last two rules observable. arch-tie puts one small
+// and one large task of equal weight on separate islands, so the small and
+// large arm sums tie. The max-nodes=64 pass caps the medium arm's exact
+// search, so its state degrades on some shards only.
 func TestShardComponentEquivalence(t *testing.T) {
-	for _, c := range shardCases() {
+	tie := Case{
+		Name:   "arch-tie",
+		Replay: "hand-built: small task [0,1) and large task [2,3), weight 5 each, capacity 64",
+		In: &model.Instance{
+			Capacity: []int64{64, 64, 64},
+			Tasks: []model.Task{
+				{ID: 0, Start: 0, End: 1, Demand: 1, Weight: 5},
+				{ID: 1, Start: 2, End: 3, Demand: 40, Weight: 5},
+			},
+		},
+	}
+	for _, c := range append(shardCases(), tie) {
 		t.Run(c.Name, func(t *testing.T) {
 			plan := shard.Compute(context.Background(), c.In)
 			if !plan.Decomposes() {
 				t.Fatalf("archipelago did not decompose (replay: %s)", c.Replay)
 			}
-			var want model.Solution
-			var wantWeight int64
-			for i := 0; i < plan.Len(); i++ {
-				sub := plan.SubInstance(i)
-				r, err := core.Solve(sub, core.Params{})
-				if err != nil {
-					t.Fatalf("shard %d: %v (replay: %s)", i, err, c.Replay)
+			for _, maxNodes := range []int64{0, 64} {
+				p := core.Params{Exact: exact.Options{MaxNodes: maxNodes}}
+				var want model.Solution
+				var wantWeight int64
+				// Per-arm sums over the shards, indexed by core.Arm.
+				var armTasks [3]int
+				var armWeights, reportWeights [3]int64
+				var worst [3]core.ArmState
+				for i := 0; i < plan.Len(); i++ {
+					sub := plan.SubInstance(i)
+					r, err := core.Solve(sub, p)
+					if err != nil {
+						t.Fatalf("max-nodes=%d shard %d: %v (replay: %s)", maxNodes, i, err, c.Replay)
+					}
+					lifted := plan.Span(i).Lift(r.Solution)
+					want.Items = append(want.Items, lifted.Items...)
+					wantWeight += r.Solution.Weight()
+					armTasks[0] += r.NumSmall
+					armTasks[1] += r.NumMedium
+					armTasks[2] += r.NumLarge
+					armWeights[0] += r.SmallWeight
+					armWeights[1] += r.MediumWeight
+					armWeights[2] += r.LargeWeight
+					for a, ar := range r.Report.Arms {
+						reportWeights[a] += ar.Weight
+						worst[a] = max(worst[a], ar.State)
+					}
 				}
-				lifted := plan.Span(i).Lift(r.Solution)
-				want.Items = append(want.Items, lifted.Items...)
-				wantWeight += r.Solution.Weight()
-			}
-			for _, w := range []int{1, 2, 8} {
-				full, err := core.Solve(c.In, core.Params{Workers: w, Shard: shard.Options{Verify: true}})
-				if err != nil {
-					t.Fatalf("workers=%d: %v (replay: %s)", w, err, c.Replay)
+				wantWinner := core.ArmSmall
+				for a := core.ArmMedium; a <= core.ArmLarge; a++ {
+					if armWeights[a] > armWeights[wantWinner] {
+						wantWinner = a
+					}
 				}
-				if full.Shards == nil || full.Shards.Shards != plan.Len() || full.Shards.Completed != plan.Len() {
-					t.Fatalf("workers=%d: shard report %+v, want %d completed (replay: %s)",
-						w, full.Shards, plan.Len(), c.Replay)
-				}
-				if err := oracle.CheckSAP(c.In, full.Solution); err != nil {
-					t.Fatalf("workers=%d: stitched solution infeasible: %v (replay: %s)", w, err, c.Replay)
-				}
-				if full.Solution.Weight() != wantWeight {
-					t.Errorf("workers=%d: stitched weight %d, want %d (replay: %s)",
-						w, full.Solution.Weight(), wantWeight, c.Replay)
-				}
-				if !reflect.DeepEqual(full.Solution.Items, want.Items) {
-					t.Errorf("workers=%d: stitched solution differs from manual per-shard stitch (replay: %s)",
-						w, c.Replay)
+				for _, w := range []int{1, 2, 8} {
+					tag := fmt.Sprintf("workers=%d max-nodes=%d", w, maxNodes)
+					fp := p
+					fp.Workers = w
+					fp.Shard = shard.Options{Verify: true}
+					full, err := core.Solve(c.In, fp)
+					if err != nil {
+						t.Fatalf("%s: %v (replay: %s)", tag, err, c.Replay)
+					}
+					if full.Shards == nil || full.Shards.Shards != plan.Len() || full.Shards.Completed != plan.Len() {
+						t.Fatalf("%s: shard report %+v, want %d completed (replay: %s)",
+							tag, full.Shards, plan.Len(), c.Replay)
+					}
+					if err := oracle.CheckSAP(c.In, full.Solution); err != nil {
+						t.Fatalf("%s: stitched solution infeasible: %v (replay: %s)", tag, err, c.Replay)
+					}
+					if full.Solution.Weight() != wantWeight {
+						t.Errorf("%s: stitched weight %d, want %d (replay: %s)",
+							tag, full.Solution.Weight(), wantWeight, c.Replay)
+					}
+					if !reflect.DeepEqual(full.Solution.Items, want.Items) {
+						t.Errorf("%s: stitched solution differs from manual per-shard stitch (replay: %s)",
+							tag, c.Replay)
+					}
+					if n := full.NumSmall + full.NumMedium + full.NumLarge; n != len(c.In.Tasks) {
+						t.Errorf("%s: arm task counts sum to %d, want %d tasks (replay: %s)",
+							tag, n, len(c.In.Tasks), c.Replay)
+					}
+					if got := [3]int{full.NumSmall, full.NumMedium, full.NumLarge}; got != armTasks {
+						t.Errorf("%s: arm task counts %v, want per-shard sums %v (replay: %s)",
+							tag, got, armTasks, c.Replay)
+					}
+					if got := [3]int64{full.SmallWeight, full.MediumWeight, full.LargeWeight}; got != armWeights {
+						t.Errorf("%s: arm weights %v, want per-shard sums %v (replay: %s)",
+							tag, got, armWeights, c.Replay)
+					}
+					if full.Winner != wantWinner {
+						t.Errorf("%s: winner %v, want heaviest aggregated arm %v (weights %v, replay: %s)",
+							tag, full.Winner, wantWinner, armWeights, c.Replay)
+					}
+					for a, ar := range full.Report.Arms {
+						if ar.Weight != reportWeights[a] {
+							t.Errorf("%s: %v report weight %d, want per-shard sum %d (replay: %s)",
+								tag, core.Arm(a), ar.Weight, reportWeights[a], c.Replay)
+						}
+						if ar.State != worst[a] {
+							t.Errorf("%s: %v report state %v, want worst per-shard state %v (replay: %s)",
+								tag, core.Arm(a), ar.State, worst[a], c.Replay)
+						}
+					}
 				}
 			}
 		})

@@ -188,7 +188,7 @@ func Fire(ctx context.Context, site string) {
 // caller propagates the returned error exactly as it would a real failure
 // of the guarded operation:
 //
-//	if err := faultinject.FireErr(ctx, "dist/dial"); err != nil {
+//	if err := faultinject.FireErr(ctx, "session/delta"); err != nil {
 //		return nil, err
 //	}
 func FireErr(ctx context.Context, site string) error {

@@ -3,13 +3,16 @@ package model
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"testing"
 
 	"sapalloc/internal/saperr"
 )
 
 // FuzzReadInstanceJSON hardens the decoder: arbitrary bytes must never
-// panic, and anything accepted must validate and survive a round trip.
+// panic, and anything accepted must validate and survive a round trip
+// exactly — capacities, task fields and task order (the solvers'
+// deterministic tie-breaks key on it).
 func FuzzReadInstanceJSON(f *testing.F) {
 	var seed bytes.Buffer
 	if err := (&Instance{
@@ -39,8 +42,8 @@ func FuzzReadInstanceJSON(f *testing.F) {
 		if err != nil {
 			t.Fatalf("round trip: %v", err)
 		}
-		if len(back.Tasks) != len(in.Tasks) || back.Edges() != in.Edges() {
-			t.Fatalf("round trip changed shape")
+		if !reflect.DeepEqual(back, in) {
+			t.Fatalf("round trip drifted:\n got: %+v\nwant: %+v", back, in)
 		}
 	})
 }

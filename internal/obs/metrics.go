@@ -198,11 +198,10 @@ var (
 	MWUIters       = NewCounter("lp_mwu_iters")           // Garg–Könemann oracle iterations
 	OracleChecks   = NewCounter("oracle_checks")          // oracle feasibility verifications
 
-	// Quality: 1000·(achieved weight)/(LP upper bound). Recorded per
-	// strip-pack class (UFPP weight vs class LP optimum) and per sapsolve
-	// -metrics run (solution weight vs lp.UFPPFractional bound).
-	RatioPermille     = NewHistogram("ratio_vs_lp_permille")
-	LastRatioPermille = NewGauge("last_ratio_vs_lp_permille")
+	// Quality: 1000·(achieved weight)/(LP upper bound), recorded once per
+	// strip-pack class of the small arm (the class's UFPP weight vs its LP
+	// optimum). No per-solve ratio is recorded.
+	RatioPermille = NewHistogram("ratio_vs_lp_permille")
 
 	// Shard-and-scatter decomposition (internal/shard). ShardSolves counts
 	// solves that took the sharded path; shard_count/shard_tasks record the
@@ -242,21 +241,11 @@ var (
 	ServeInFlight    = NewGauge("serve_inflight")
 	ServeQueueWaitNs = NewHistogram("serve_queue_wait_ns")
 
-	// Per-shard serving (POST /v1/shard, the receive side of the
-	// distributed scatter) and the admission-control outcome split:
-	// client_gone counts requests whose client disconnected while queued
-	// (499), queue timeouts land in serve_rejected's sibling 503 path.
-	ServeShardRequests = NewCounter("serve_shard_requests")
-	ServeClientGone    = NewCounter("serve_client_gone")
+	// Admission-control outcome split: client_gone counts requests whose
+	// client disconnected while queued (499); queue timeouts land in
+	// serve_rejected's sibling 503 path.
+	ServeClientGone = NewCounter("serve_client_gone")
 
-	// Distributed shard fan-out (internal/dist, the send side). dist_rpcs
-	// counts every HTTP attempt (hedges included); retries are attempts
-	// past the first for a shard; hedges are speculative duplicates, of
-	// which hedge_wins were the first usable answer. breaker_trips counts
-	// closed→open transitions, breaker_open is the live count of open
-	// breakers, and fallback_solves counts shards that exhausted their
-	// remote envelope and were solved in-process (the bottom rung of the
-	// degradation ladder — never an error).
 	// Durable solve store (internal/store). Puts are records accepted into
 	// the pending batch; batch_flushes counts batches written to the
 	// segment log (flush_ns times the whole write, fsync_ns just the
@@ -299,43 +288,7 @@ var (
 	SessionResolvedShards    = NewHistogram("session_resolved_shards")
 	SessionReusedShards      = NewHistogram("session_reused_shards")
 	SessionDeltaNs           = NewHistogram("session_delta_ns")
-
-	DistRPCs         = NewCounter("dist_rpcs")
-	DistRemoteSolves = NewCounter("dist_remote_solves")
-	DistRetries      = NewCounter("dist_retries")
-	DistHedges       = NewCounter("dist_hedges")
-	DistHedgeWins    = NewCounter("dist_hedge_wins")
-	DistBreakerTrips = NewCounter("dist_breaker_trips")
-	DistBreakerOpen  = NewGauge("dist_breaker_open")
-	DistFallbacks    = NewCounter("dist_fallback_solves")
-	DistRPCLatencyNs = NewHistogram("dist_rpc_latency_ns")
 )
-
-// DistBackendLatencyNs holds per-backend RPC latency histograms, indexed by
-// the backend's position in the configured peer list. The registry is
-// closed at init, so a fixed catalogue of NumDistBackendSeries series is
-// pre-registered and pools with more peers fold the tail into the last one.
-const NumDistBackendSeries = 8
-
-var DistBackendLatencyNs = func() [NumDistBackendSeries]*Histogram {
-	var hs [NumDistBackendSeries]*Histogram
-	for i := range hs {
-		hs[i] = NewHistogram(fmt.Sprintf("dist_backend%d_latency_ns", i))
-	}
-	return hs
-}()
-
-// DistBackendLatency returns the latency histogram for backend index i,
-// clamping indexes past the fixed catalogue into the final series.
-func DistBackendLatency(i int) *Histogram {
-	if i < 0 {
-		i = 0
-	}
-	if i >= NumDistBackendSeries {
-		i = NumDistBackendSeries - 1
-	}
-	return DistBackendLatencyNs[i]
-}
 
 // Reset zeroes every registered series (counters, gauges, histogram counts
 // and buckets). Intended for tests and for the start of a fresh run.
@@ -496,16 +449,4 @@ func SessionSummary() string {
 		SessionDeltas.Value(), SessionIncrementalSolves.Value(), SessionFullSolves.Value(),
 		SessionResolvedShards.Sum(), SessionReusedShards.Sum(),
 		SessionsLive.Value(), SessionEvictions.Value())
-}
-
-// DistSummary is the distributed-client counterpart of Summary: one line of
-// fan-out health (RPC volume, retry/hedge pressure, breaker state, and how
-// many shards degraded to local fallback), appended to periodic summaries
-// by tools running with a backend pool.
-func DistSummary() string {
-	return fmt.Sprintf(
-		"dist: rpcs=%d remote=%d retries=%d hedges=%d/%d trips=%d open=%d fallbacks=%d",
-		DistRPCs.Value(), DistRemoteSolves.Value(), DistRetries.Value(),
-		DistHedgeWins.Value(), DistHedges.Value(),
-		DistBreakerTrips.Value(), DistBreakerOpen.Value(), DistFallbacks.Value())
 }

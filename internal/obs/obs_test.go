@@ -33,12 +33,12 @@ func TestDisabledHooksAreInert(t *testing.T) {
 	clean(t)
 	SolvesStarted.Inc()
 	SolvesStarted.Add(10)
-	LastRatioPermille.Set(42)
+	ServeQueueDepth.Set(42)
 	SolveNs.Record(100)
 	if v := SolvesStarted.Value(); v != 0 {
 		t.Fatalf("disabled counter moved: %d", v)
 	}
-	if v := LastRatioPermille.Value(); v != 0 {
+	if v := ServeQueueDepth.Value(); v != 0 {
 		t.Fatalf("disabled gauge moved: %d", v)
 	}
 	if v := SolveNs.Count(); v != 0 {
@@ -63,12 +63,12 @@ func TestCounterAndGauge(t *testing.T) {
 	if v := SolvesStarted.Value(); v != 5 {
 		t.Fatalf("counter = %d, want 5", v)
 	}
-	LastRatioPermille.Set(917)
-	if v := LastRatioPermille.Value(); v != 917 {
+	ServeQueueDepth.Set(917)
+	if v := ServeQueueDepth.Value(); v != 917 {
 		t.Fatalf("gauge = %d, want 917", v)
 	}
 	Reset()
-	if SolvesStarted.Value() != 0 || LastRatioPermille.Value() != 0 {
+	if SolvesStarted.Value() != 0 || ServeQueueDepth.Value() != 0 {
 		t.Fatal("Reset left values behind")
 	}
 }
@@ -289,13 +289,13 @@ func TestDumpsAndSummary(t *testing.T) {
 	TasksInput.Add(7)
 	TasksAdmitted.Add(5)
 	SolveNs.Record(1000)
-	LastRatioPermille.Set(850)
+	ServeQueueDepth.Set(850)
 
 	var text bytes.Buffer
 	if err := DumpText(&text); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"solves_started", "solve_ns", "last_ratio_vs_lp_permille", "count=1"} {
+	for _, want := range []string{"solves_started", "solve_ns", "serve_queue_depth", "count=1"} {
 		if !strings.Contains(text.String(), want) {
 			t.Errorf("text dump missing %q:\n%s", want, text.String())
 		}

@@ -46,29 +46,6 @@ func KeyOfRing(r *model.RingInstance) Key {
 	return sha256.Sum256(r.CanonicalBytes())
 }
 
-// keyOfBytesDomain separates raw-byte keys from canonical-encoding keys:
-// the canonical encodings never start with this tag, so the two key
-// families cannot collide even for adversarial inputs.
-var keyOfBytesDomain = []byte("sapcache/raw\x00")
-
-// KeyOfBytes returns the key of a raw byte string, domain-separated from
-// the canonical instance keys. The per-shard serving endpoint keys its
-// response cache on the exact request bytes rather than the canonical
-// form: shard solves must be byte-identical to the client's local
-// fallback, and the solvers' deterministic tie-breaks key on task ORDER,
-// which canonicalization erases. Exact-bytes keying keeps the cache sound
-// (same bytes ⇒ same instance, same order ⇒ same solution) at the cost of
-// missing permuted duplicates — which the shard wire format never
-// produces, since clients serialise sub-instances deterministically.
-func KeyOfBytes(b []byte) Key {
-	h := sha256.New()
-	h.Write(keyOfBytesDomain)
-	h.Write(b)
-	var k Key
-	h.Sum(k[:0])
-	return k
-}
-
 // entry is one resident cache line.
 type entry struct {
 	key  Key

@@ -37,15 +37,6 @@ var (
 	// ErrInternal reports a contained panic — a solver bug, not user error.
 	ErrInternal = errors.New("internal solver error")
 
-	// ErrUnavailable reports a remote backend that could not serve a
-	// request: dial failures, transport errors, 5xx responses, truncated
-	// or infeasible reply bodies, and open circuit breakers all wrap it.
-	// It is a *transient, retryable* condition — the distributed scatter
-	// (internal/dist) retries other backends and ultimately degrades to a
-	// local in-process solve, so ErrUnavailable should never surface to an
-	// end caller of the solve API.
-	ErrUnavailable = errors.New("backend unavailable")
-
 	// ErrCorruptStore reports persisted solve-store state that failed its
 	// integrity checks: a record hash that does not match its bytes, a
 	// Merkle batch root or chain link that does not verify, or a segment
@@ -99,14 +90,6 @@ func IsCancelled(err error) bool {
 func Input(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrInfeasibleInput, fmt.Sprintf(format, args...))
 }
-
-// Unavailable builds an error wrapping ErrUnavailable.
-func Unavailable(format string, args ...any) error {
-	return fmt.Errorf("%w: %s", ErrUnavailable, fmt.Sprintf(format, args...))
-}
-
-// IsUnavailable reports whether err is a remote-unavailability error.
-func IsUnavailable(err error) bool { return errors.Is(err, ErrUnavailable) }
 
 // CorruptStore builds an error wrapping ErrCorruptStore.
 func CorruptStore(format string, args ...any) error {

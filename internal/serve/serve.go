@@ -51,7 +51,6 @@ import (
 	"sapalloc/internal/sapcache"
 	"sapalloc/internal/saperr"
 	"sapalloc/internal/session"
-	"sapalloc/internal/shard"
 	"sapalloc/internal/store"
 )
 
@@ -184,7 +183,6 @@ func New(cfg Config) *Server {
 		Session:     session.Options{Params: cfg.Params},
 	})
 	s.mux.HandleFunc("/v1/solve", s.handleSolve)
-	s.mux.HandleFunc("/v1/shard", s.handleShard)
 	s.mux.HandleFunc("POST /v1/session", s.handleSessionCreate)
 	s.mux.HandleFunc("POST /v1/session/{id}/delta", s.handleSessionDelta)
 	s.mux.HandleFunc("DELETE /v1/session/{id}", s.handleSessionDelete)
@@ -360,148 +358,6 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 	s.setProvenance(w, key)
 	writeSolveResponse(w, resp.body, source)
-}
-
-// handleShard is POST /v1/shard: solve one pre-cut shard of a distributed
-// scatter (internal/dist is the sending side). The body is a model
-// instance JSON document — the shard's sub-instance in local coordinates —
-// and the response is the shard wire format (shard.WireResponse), with
-// placements in the solver's NATIVE order: the client stitches them as
-// received, and the distributed-vs-local byte-identity contract requires
-// exactly what an in-process solve would have produced.
-//
-// Unlike /v1/solve, the instance is solved AS RECEIVED, not canonicalized,
-// and the response cache is keyed on the exact request bytes
-// (sapcache.KeyOfBytes): the solvers' deterministic tie-breaks key on task
-// order, which canonicalization erases, and a canonical-key hit populated
-// by a permuted twin could differ byte-wise from the client's local
-// fallback. Exact-bytes keying trades permutation dedup (which the shard
-// wire format never produces anyway) for an airtight identity guarantee.
-// Admission control and the degraded-never-cached rule are shared with
-// /v1/solve.
-func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		httpError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	if s.Draining() {
-		s.refuse(w, http.StatusServiceUnavailable, "server draining")
-		return
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			httpError(w, http.StatusRequestEntityTooLarge, "body exceeds %d bytes", tooLarge.Limit)
-			return
-		}
-		httpError(w, http.StatusBadRequest, "read body: %v", err)
-		return
-	}
-	timeout, err := s.requestTimeout(r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	// The trust boundary: ReadInstanceJSON rejects anything model.Validate
-	// would not accept, before any solver state is touched.
-	in, err := model.ReadInstanceJSON(bytes.NewReader(body))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	obs.ServeShardRequests.Inc()
-
-	key := sapcache.KeyOfBytes(body)
-	if v, src := s.cache.Get(key); src != sapcache.SourceMiss {
-		obs.ServeCacheHits.Inc()
-		s.setProvenance(w, key)
-		writeSolveResponse(w, v.(*cachedResponse).body, cacheSourceLabel(src))
-		return
-	}
-	v, err, shared := s.flight.Do(key, func() (any, error) {
-		if ent, src := s.cache.Get(key); src != sapcache.SourceMiss {
-			resp := ent.(*cachedResponse)
-			return &cachedResponse{body: resp.body, tasks: resp.tasks,
-				fromHit: true, fromStore: src == sapcache.SourceStore}, nil
-		}
-		release, err := s.admit(r.Context(), timeout)
-		if err != nil {
-			return nil, err
-		}
-		defer release()
-		start := time.Now()
-		resp, err := s.solveShard(in, timeout)
-		if err != nil {
-			return nil, err
-		}
-		s.observeSolve(time.Since(start))
-		if !resp.degraded {
-			s.cache.Add(key, resp, int64(len(in.Tasks)))
-		}
-		return resp, nil
-	})
-	if err != nil {
-		s.writeSolveError(w, err, shared)
-		return
-	}
-	resp := v.(*cachedResponse)
-	source := "miss"
-	switch {
-	case shared:
-		obs.ServeCacheDedup.Inc()
-		source = "dedup"
-	case resp.fromStore:
-		obs.ServeCacheHits.Inc()
-		source = "store"
-	case resp.fromHit:
-		obs.ServeCacheHits.Inc()
-		source = "hit"
-	default:
-		obs.ServeCacheMiss.Inc()
-	}
-	s.setProvenance(w, key)
-	writeSolveResponse(w, resp.body, source)
-}
-
-// solveShard runs the combined solver on the shard exactly as received and
-// renders the shard wire response. Like solvePath, the solve is detached
-// from the HTTP request's context: the result is shared with deduplicated
-// followers and populates the cache. The shard is the leaf of the fan-out,
-// so any configured Distributor is dropped — a backend must never
-// re-scatter a shard back into the pool (a routing loop under partition).
-func (s *Server) solveShard(in *model.Instance, timeout time.Duration) (*cachedResponse, error) {
-	p := s.cfg.Params
-	p.Deadline = timeout
-	p.Distributor = nil
-	faultinject.Fire(context.Background(), "serve/shard")
-	res, err := core.SolveCtx(context.Background(), in, p)
-	if err != nil {
-		return nil, err
-	}
-	if err := model.ValidSAP(in, res.Solution); err != nil {
-		return nil, fmt.Errorf("%w: solver produced infeasible shard solution: %v", saperr.ErrInternal, err)
-	}
-	degraded := res.Report != nil && res.Report.Degraded
-	stats := &shard.WireStats{
-		Winner:     int(res.Winner),
-		ArmTasks:   [3]int{res.NumSmall, res.NumMedium, res.NumLarge},
-		ArmWeights: [3]int64{res.SmallWeight, res.MediumWeight, res.LargeWeight},
-	}
-	if res.Report != nil {
-		for i, ar := range res.Report.Arms {
-			stats.ArmStates[i] = int(ar.State)
-			if ar.Err != nil {
-				stats.ArmErrs[i] = ar.Err.Error()
-			}
-		}
-	}
-	var buf bytes.Buffer
-	if err := shard.NewWireResponse(res.Solution, res.Winner.String(), degraded, stats).Encode(&buf); err != nil {
-		return nil, err
-	}
-	return &cachedResponse{body: buf.Bytes(), tasks: len(in.Tasks), degraded: degraded}, nil
 }
 
 // requestTimeout resolves the per-request deadline: the ?timeout= query

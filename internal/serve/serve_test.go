@@ -8,17 +8,14 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"sync"
 	"testing"
 	"time"
 
-	"sapalloc/internal/core"
 	"sapalloc/internal/faultinject"
 	"sapalloc/internal/gen"
 	"sapalloc/internal/model"
 	"sapalloc/internal/obs"
-	"sapalloc/internal/shard"
 )
 
 // The obs counters these tests assert on are process-global, so the suite
@@ -546,66 +543,5 @@ func TestAdmitClientGoneVsDeadline(t *testing.T) {
 	if rec.Code != http.StatusServiceUnavailable || rec.Header().Get("Retry-After") == "" {
 		t.Errorf("queue timeout: status %d, Retry-After %q; want 503 with hint",
 			rec.Code, rec.Header().Get("Retry-After"))
-	}
-}
-
-// TestServeShardEndpoint pins the per-shard serving contract: the response
-// decodes through the shard wire codec into exactly the solution an
-// in-process solve of the same instance produces — same placements, same
-// (solver-native, unsorted) order — and a repeated POST is a byte-identical
-// cache hit keyed on the exact request bytes.
-func TestServeShardEndpoint(t *testing.T) {
-	ts := newTestServer(t, Config{})
-	in := testInstance(0)
-	body := encodeInstance(t, in)
-
-	resp, got := postJSON(t, ts, "/v1/shard", body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("POST /v1/shard: status %d, body %s", resp.StatusCode, got)
-	}
-	if src := resp.Header.Get("X-Sapalloc-Cache"); src != "miss" {
-		t.Errorf("first POST cache header = %q, want miss", src)
-	}
-	wr, err := shard.DecodeWireResponse(bytes.NewReader(got))
-	if err != nil {
-		t.Fatalf("decode shard response: %v", err)
-	}
-	sol, err := wr.Solution(in)
-	if err != nil {
-		t.Fatalf("reconstruct shard solution: %v", err)
-	}
-	if err := model.ValidSAP(in, sol); err != nil {
-		t.Fatalf("served shard solution infeasible: %v", err)
-	}
-
-	// Byte-identity with the in-process solve the distributed client would
-	// have fallen back to, item order included.
-	localRes, err := core.SolveCtx(context.Background(), in, core.Params{Deadline: 30 * time.Second})
-	if err != nil {
-		t.Fatalf("local solve: %v", err)
-	}
-	if !reflect.DeepEqual(sol.Items, localRes.Solution.Items) {
-		t.Errorf("served shard differs from in-process solve:\n got: %+v\nwant: %+v",
-			sol.Items, localRes.Solution.Items)
-	}
-
-	// Exact-bytes cache: a repeat is a hit with identical bytes.
-	resp2, got2 := postJSON(t, ts, "/v1/shard", body)
-	if src := resp2.Header.Get("X-Sapalloc-Cache"); src != "hit" {
-		t.Errorf("second POST cache header = %q, want hit", src)
-	}
-	if !bytes.Equal(got, got2) {
-		t.Errorf("cached shard response differs from fresh one")
-	}
-	if obs.ServeShardRequests.Value() != 2 {
-		t.Errorf("serve_shard_requests = %d, want 2", obs.ServeShardRequests.Value())
-	}
-
-	// Malformed and ring bodies are rejected at the trust boundary.
-	for _, bad := range []string{"{", `{"kind":"ring","capacity":[4],"tasks":[]}`} {
-		resp, _ := postJSON(t, ts, "/v1/shard", []byte(bad))
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("bad body %q: status %d, want 400", bad, resp.StatusCode)
-		}
 	}
 }

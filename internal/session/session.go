@@ -44,9 +44,8 @@ import (
 
 // Options configures a session.
 type Options struct {
-	// Params configures the underlying combined solver. Params.Deadline and
-	// Params.Distributor are ignored: deltas are bounded by the caller's
-	// context, and a session's shard re-solves are leaf solves.
+	// Params configures the underlying combined solver. Params.Deadline is
+	// ignored: deltas are bounded by the caller's context.
 	Params core.Params
 	// Full disables incremental maintenance: every delta re-solves the
 	// whole task set cold. It exists for the benchmarks and difftests that
@@ -114,7 +113,6 @@ func New(capacity []int64, opts Options) (*Session, error) {
 	}
 	p := opts.Params
 	p.Deadline = 0
-	p.Distributor = nil
 	return &Session{
 		capacity: append([]int64(nil), capacity...),
 		params:   p,

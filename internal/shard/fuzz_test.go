@@ -1,7 +1,6 @@
 package shard_test
 
 import (
-	"bytes"
 	"context"
 	"reflect"
 	"testing"
@@ -86,76 +85,6 @@ func FuzzShardStitch(f *testing.F) {
 		if !reflect.DeepEqual(full.Solution.Items, want.Items) {
 			t.Fatalf("stitched solution differs from manual per-shard stitch (replay: %s)\n got: %+v\nwant: %+v",
 				replay, full.Solution.Items, want.Items)
-		}
-	})
-}
-
-// FuzzShardWire round-trips a solved shard through the /v1/shard codec:
-// the request side (model instance JSON) must reproduce the sub-instance
-// exactly, and the response side (WireResponse) must reproduce the solved
-// placements byte-for-byte in solver order, with the reconstruction
-// oracle-checked against the original sub-instance. This is the exact
-// transformation the distributed scatter applies per shard, so any codec
-// drift the fuzzer finds is a distributed-correctness bug, not a cosmetic
-// one.
-func FuzzShardWire(f *testing.F) {
-	f.Add(int64(1), uint8(4), uint8(9), uint8(0))
-	f.Add(int64(2), uint8(7), uint8(14), uint8(1))
-	f.Add(int64(3), uint8(2), uint8(5), uint8(2))
-	f.Add(int64(4), uint8(10), uint8(20), uint8(3))
-	f.Fuzz(func(t *testing.T, seed int64, edges, tasks, class uint8) {
-		cfg := gen.Config{
-			Seed:  seed,
-			Edges: 1 + int(edges%12),
-			Tasks: 1 + int(tasks%24),
-			CapLo: 16, CapHi: 65,
-			Class: gen.Class(class % 4),
-		}
-		in := gen.Random(cfg)
-		replay := cfg.Replay()
-
-		// Request side: the shard sub-instance crosses the wire as model
-		// instance JSON and must survive with task order intact (the
-		// solvers' tie-breaks key on it).
-		var req bytes.Buffer
-		if err := in.WriteJSON(&req); err != nil {
-			t.Fatalf("encode request: %v (replay: %s)", err, replay)
-		}
-		decoded, err := model.ReadInstanceJSON(bytes.NewReader(req.Bytes()))
-		if err != nil {
-			t.Fatalf("decode request: %v (replay: %s)", err, replay)
-		}
-		if !reflect.DeepEqual(decoded, in) {
-			t.Fatalf("request round trip drifted (replay: %s)\n got: %+v\nwant: %+v", replay, decoded, in)
-		}
-
-		// Response side: solve, encode, decode, reconstruct, oracle-check.
-		res, err := core.Solve(decoded, core.Params{})
-		if err != nil {
-			t.Fatalf("solve: %v (replay: %s)", err, replay)
-		}
-		degraded := res.Report != nil && res.Report.Degraded
-		var resp bytes.Buffer
-		if err := shard.NewWireResponse(res.Solution, res.Winner.String(), degraded, nil).Encode(&resp); err != nil {
-			t.Fatalf("encode response: %v (replay: %s)", err, replay)
-		}
-		wr, err := shard.DecodeWireResponse(&resp)
-		if err != nil {
-			t.Fatalf("decode response: %v (replay: %s)", err, replay)
-		}
-		if wr.Degraded != degraded || wr.Winner != res.Winner.String() {
-			t.Fatalf("response metadata drifted: %+v (replay: %s)", wr, replay)
-		}
-		sol, err := wr.Solution(decoded)
-		if err != nil {
-			t.Fatalf("reconstruct solution: %v (replay: %s)", err, replay)
-		}
-		if !reflect.DeepEqual(sol.Items, res.Solution.Items) {
-			t.Fatalf("solution round trip drifted (replay: %s)\n got: %+v\nwant: %+v",
-				replay, sol.Items, res.Solution.Items)
-		}
-		if oerr := oracle.CheckSAP(in, sol); oerr != nil {
-			t.Fatalf("reconstructed solution infeasible: %v (replay: %s)", oerr, replay)
 		}
 	})
 }

@@ -21,8 +21,6 @@ package shard
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"time"
 
@@ -49,13 +47,11 @@ type Options struct {
 
 // Span is one shard's edge window [Lo, Hi) on the original path: a maximal
 // run of edges with non-zero task load. Tasks counts the tasks whose
-// interval lies inside the window. The JSON field names are a cross-node
-// wire contract (the serve layer ships shard reports between nodes);
-// internal/shard's wire test pins them.
+// interval lies inside the window.
 type Span struct {
-	Lo    int `json:"lo"`
-	Hi    int `json:"hi"`
-	Tasks int `json:"tasks"`
+	Lo    int
+	Hi    int
+	Tasks int
 }
 
 // Overlaps reports whether the span's edge window intersects the half-open
@@ -220,28 +216,6 @@ func (s State) String() string {
 	}
 }
 
-// MarshalJSON renders the state as its string form for the wire contract.
-func (s State) MarshalJSON() ([]byte, error) { return json.Marshal(s.String()) }
-
-// UnmarshalJSON parses the string form written by MarshalJSON.
-func (s *State) UnmarshalJSON(b []byte) error {
-	var str string
-	if err := json.Unmarshal(b, &str); err != nil {
-		return err
-	}
-	switch str {
-	case "completed":
-		*s = Completed
-	case "failed":
-		*s = Failed
-	case "skipped":
-		*s = Skipped
-	default:
-		return fmt.Errorf("shard: unknown state %q", str)
-	}
-	return nil
-}
-
 // Outcome records one shard's result for the Report.
 type Outcome struct {
 	Span    Span
@@ -249,72 +223,28 @@ type Outcome struct {
 	Weight  int64 // weight of the shard's solution (0 when none)
 	Elapsed time.Duration
 	Err     error // typed error for Failed/Skipped, nil otherwise
-	// Route records how the distributed scatter placed this shard —
-	// remote backend, retries, hedging, breaker skips, local fallback.
-	// The zero Route is a plain local solve.
-	Route Route
-}
-
-// outcomeJSON is Outcome's wire form: errors flatten to strings (they do
-// not survive a node boundary as typed values) and durations to integer
-// nanoseconds. Field names are pinned by TestReportWireContract.
-type outcomeJSON struct {
-	Span      Span   `json:"span"`
-	State     State  `json:"state"`
-	Weight    int64  `json:"weight"`
-	ElapsedNs int64  `json:"elapsed_ns"`
-	Err       string `json:"err,omitempty"`
-	Route     Route  `json:"route"`
-}
-
-// MarshalJSON renders the outcome in its wire form.
-func (o Outcome) MarshalJSON() ([]byte, error) {
-	doc := outcomeJSON{Span: o.Span, State: o.State, Weight: o.Weight,
-		ElapsedNs: int64(o.Elapsed), Route: o.Route}
-	if o.Err != nil {
-		doc.Err = o.Err.Error()
-	}
-	return json.Marshal(doc)
-}
-
-// UnmarshalJSON parses the wire form. A non-empty err field becomes an
-// opaque error: typed error chains do not cross node boundaries.
-func (o *Outcome) UnmarshalJSON(b []byte) error {
-	var doc outcomeJSON
-	if err := json.Unmarshal(b, &doc); err != nil {
-		return err
-	}
-	*o = Outcome{Span: doc.Span, State: doc.State, Weight: doc.Weight,
-		Elapsed: time.Duration(doc.ElapsedNs), Route: doc.Route}
-	if doc.Err != "" {
-		o.Err = errors.New(doc.Err)
-	}
-	return nil
 }
 
 // Report is the structured account of a sharded solve, attached to the
-// core Result so callers and the CLI can see the decomposition. Its JSON
-// form (field names pinned by TestReportWireContract) is part of the serve
-// wire format: a coordinator's response may embed the report, so the names
-// are a cross-node contract, not an implementation detail.
+// core Result so callers and the CLI can see the decomposition.
 type Report struct {
 	// Shards is the shard count (== len(Outcomes)).
-	Shards int `json:"shards"`
+	Shards int
 	// Completed/Failed/Skipped partition the shards by outcome.
-	Completed int `json:"completed"`
-	Failed    int `json:"failed"`
-	Skipped   int `json:"skipped"`
+	Completed int
+	Failed    int
+	Skipped   int
 	// LargestTasks is the task count of the biggest shard — the critical
 	// path of the scatter.
-	LargestTasks int `json:"largest_tasks"`
+	LargestTasks int
 	// Scan, Solve and Stitch are the wall times of the three stages
 	// (Solve is the wall clock of the whole scatter, not the sum of the
-	// per-shard times), serialised as integer nanoseconds.
-	Scan   time.Duration `json:"scan_ns"`
-	Solve  time.Duration `json:"solve_ns"`
-	Stitch time.Duration `json:"stitch_ns"`
+	// per-shard times).
+	Scan   time.Duration
+	Solve  time.Duration
+	Stitch time.Duration
 	// Outcomes has one entry per shard, in span (left-to-right) order.
-	Outcomes []Outcome `json:"outcomes"`
+	Outcomes []Outcome
 }
 
 // Degraded reports whether any shard failed or was skipped: the stitched

@@ -199,7 +199,6 @@ func solveClass(ctx context.Context, in *model.Instance, tasks []model.Task, t i
 	if obs.MetricsOn() && report.LPBound > 0 {
 		pm := int64(1000 * float64(report.UFPPWeight) / report.LPBound)
 		obs.RatioPermille.Record(pm)
-		obs.LastRatioPermille.Set(pm)
 	}
 
 	conv := dsa.ConvertToStripCtx(ctx, sel, b/2)
