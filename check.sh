@@ -40,7 +40,7 @@ if [ "$1" = "alloc" ]; then
     go test -count=1 -run 'TestAllocs' \
         ./internal/intervals/ ./internal/exact/ ./internal/largesap/ \
         ./internal/chendp/ ./internal/mediumsap/ ./internal/core/ \
-        ./internal/window/
+        ./internal/window/ ./internal/model/
     echo "== allocs/op regression gate (BENCH.json) =="
     go run ./cmd/sapbench -json -out BENCH.fresh.json -baseline BENCH.json -maxregress 1000 -maxallocregress 0.10
     echo "ALLOC GATE PASSED (fresh report in BENCH.fresh.json)"

@@ -1,8 +1,9 @@
 package model
 
 import (
+	"cmp"
 	"encoding/binary"
-	"sort"
+	"slices"
 )
 
 // Canonical encoding. The serving layer caches solve results keyed by the
@@ -19,23 +20,27 @@ import (
 // as-received one, so every permutation of the same task set observes the
 // same response bytes.
 
-// canonicalTaskLess orders tasks into the sorted normal form: by interval,
+// compareCanonical orders tasks into the sorted normal form: by interval,
 // then demand, then weight, then ID. IDs are unique (Validate), so the
 // order is total.
-func canonicalTaskLess(a, b Task) bool {
-	switch {
-	case a.Start != b.Start:
-		return a.Start < b.Start
-	case a.End != b.End:
-		return a.End < b.End
-	case a.Demand != b.Demand:
-		return a.Demand < b.Demand
-	case a.Weight != b.Weight:
-		return a.Weight < b.Weight
-	default:
-		return a.ID < b.ID
+func compareCanonical(a, b Task) int {
+	if c := cmp.Compare(a.Start, b.Start); c != 0 {
+		return c
 	}
+	if c := cmp.Compare(a.End, b.End); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Demand, b.Demand); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Weight, b.Weight); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.ID, b.ID)
 }
+
+// compareCanonicalRing is compareCanonical for ring tasks.
+func compareCanonicalRing(a, b RingTask) int { return compareCanonical(Task(a), Task(b)) }
 
 // Canonicalize returns a copy of the instance with tasks in sorted normal
 // form (capacity slice shared — it is read-only throughout the library).
@@ -43,7 +48,7 @@ func canonicalTaskLess(a, b Task) bool {
 // permutation of the receiver.
 func (in *Instance) Canonicalize() *Instance {
 	out := &Instance{Capacity: in.Capacity, Tasks: append([]Task(nil), in.Tasks...)}
-	sort.Slice(out.Tasks, func(i, j int) bool { return canonicalTaskLess(out.Tasks[i], out.Tasks[j]) })
+	slices.SortFunc(out.Tasks, compareCanonical)
 	return out
 }
 
@@ -52,11 +57,18 @@ func appendU64(b []byte, v uint64) []byte {
 	return binary.BigEndian.AppendUint64(b, v)
 }
 
-func appendTasksCanonical(b []byte, tasks []Task) []byte {
-	sorted := append([]Task(nil), tasks...)
-	sort.Slice(sorted, func(i, j int) bool { return canonicalTaskLess(sorted[i], sorted[j]) })
-	b = appendU64(b, uint64(len(sorted)))
-	for _, t := range sorted {
+// appendTasksCanonical appends the task count and the tasks in the normal
+// form that compare sorts them into. Tasks already in normal form, as a
+// canonical instance's are, are encoded as they stand; others are sorted in
+// a copy.
+func appendTasksCanonical[T Task | RingTask](b []byte, tasks []T, compare func(a, b T) int) []byte {
+	if !slices.IsSortedFunc(tasks, compare) {
+		tasks = slices.Clone(tasks)
+		slices.SortFunc(tasks, compare)
+	}
+	b = appendU64(b, uint64(len(tasks)))
+	for _, x := range tasks {
+		t := Task(x)
 		b = appendU64(b, uint64(int64(t.ID)))
 		b = appendU64(b, uint64(int64(t.Start)))
 		b = appendU64(b, uint64(int64(t.End)))
@@ -77,7 +89,7 @@ func (in *Instance) AppendCanonical(b []byte) []byte {
 	for _, c := range in.Capacity {
 		b = appendU64(b, uint64(c))
 	}
-	return appendTasksCanonical(b, in.Tasks)
+	return appendTasksCanonical(b, in.Tasks, compareCanonical)
 }
 
 // CanonicalBytes returns the canonical encoding of the instance.
@@ -85,27 +97,11 @@ func (in *Instance) CanonicalBytes() []byte {
 	return in.AppendCanonical(make([]byte, 0, 9+8*(len(in.Capacity)+1+5*len(in.Tasks))))
 }
 
-// canonicalRingTaskLess is canonicalTaskLess for ring tasks.
-func canonicalRingTaskLess(a, b RingTask) bool {
-	switch {
-	case a.Start != b.Start:
-		return a.Start < b.Start
-	case a.End != b.End:
-		return a.End < b.End
-	case a.Demand != b.Demand:
-		return a.Demand < b.Demand
-	case a.Weight != b.Weight:
-		return a.Weight < b.Weight
-	default:
-		return a.ID < b.ID
-	}
-}
-
 // Canonicalize returns a copy of the ring instance with tasks in sorted
 // normal form (capacity slice shared).
 func (r *RingInstance) Canonicalize() *RingInstance {
 	out := &RingInstance{Capacity: r.Capacity, Tasks: append([]RingTask(nil), r.Tasks...)}
-	sort.Slice(out.Tasks, func(i, j int) bool { return canonicalRingTaskLess(out.Tasks[i], out.Tasks[j]) })
+	slices.SortFunc(out.Tasks, compareCanonicalRing)
 	return out
 }
 
@@ -118,17 +114,7 @@ func (r *RingInstance) AppendCanonical(b []byte) []byte {
 	for _, c := range r.Capacity {
 		b = appendU64(b, uint64(c))
 	}
-	sorted := append([]RingTask(nil), r.Tasks...)
-	sort.Slice(sorted, func(i, j int) bool { return canonicalRingTaskLess(sorted[i], sorted[j]) })
-	b = appendU64(b, uint64(len(sorted)))
-	for _, t := range sorted {
-		b = appendU64(b, uint64(int64(t.ID)))
-		b = appendU64(b, uint64(int64(t.Start)))
-		b = appendU64(b, uint64(int64(t.End)))
-		b = appendU64(b, uint64(t.Demand))
-		b = appendU64(b, uint64(t.Weight))
-	}
-	return b
+	return appendTasksCanonical(b, r.Tasks, compareCanonicalRing)
 }
 
 // CanonicalBytes returns the canonical encoding of the ring instance.

@@ -31,7 +31,7 @@ func TestCanonicalPermutationInvariant(t *testing.T) {
 			t.Fatalf("trial %d: canonicalized instance encodes differently", trial)
 		}
 		for i := 1; i < len(canon.Tasks); i++ {
-			if canonicalTaskLess(canon.Tasks[i], canon.Tasks[i-1]) {
+			if compareCanonical(canon.Tasks[i], canon.Tasks[i-1]) < 0 {
 				t.Fatalf("trial %d: canonical order violated at %d", trial, i)
 			}
 		}

@@ -2,17 +2,25 @@ package model
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
 	"sapalloc/internal/saperr"
 )
 
-// FuzzReadInstanceJSON hardens the decoder: arbitrary bytes must never
-// panic, and anything accepted must validate and survive a round trip
-// exactly — capacities, task fields and task order (the solvers'
-// deterministic tie-breaks key on it).
+// FuzzReadInstanceJSON checks the instance decoders against refDecodeJSON,
+// the encoding/json decode they replaced: for every input, ReadInstanceJSON,
+// ReadRingJSON and DecodeJSON must accept exactly what the reference
+// accepts and return deeply equal instances, and DecodeJSON must return the
+// reference's error text, which is what /v1/solve answers 400 with. Inputs
+// outside the plain grammar exercise the encoding/json fallback; the seeds
+// include one of each kind. Accepted instances must also survive a
+// WriteJSON round trip exactly — capacities, task fields and task order (the
+// solvers' deterministic tie-breaks key on it) — and WriteJSON must write
+// the plain grammar whenever the instance has tasks.
 func FuzzReadInstanceJSON(f *testing.F) {
 	var seed bytes.Buffer
 	if err := (&Instance{
@@ -26,17 +34,45 @@ func FuzzReadInstanceJSON(f *testing.F) {
 	f.Add([]byte(`{`))
 	f.Add([]byte(`{"kind":"path","capacity":[0],"tasks":[]}`))
 	f.Add([]byte(`{"kind":"path","capacity":[5],"tasks":[{"id":1,"start":0,"end":9,"demand":1,"weight":1}]}`))
+	var ring bytes.Buffer
+	if err := (&RingInstance{
+		Capacity: []int64{2, 3, 4},
+		Tasks:    []RingTask{{ID: 5, Start: 2, End: 0, Demand: 1, Weight: 7}, {ID: 1, Start: 0, End: 1, Demand: 2, Weight: 0}},
+	}).WriteJSON(&ring); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(ring.Bytes())
+	f.Add([]byte(` { "tasks" : [ { "weight" : 4 , "demand" : 2 , "end" : 2 , "start" : 1 , "id" : -9223372036854775808 } ] ,
+		"capacity" : [ 3 , 1099511627776 ] , "kind" : "path" } ` + "\t\r\n"))
+	for _, doc := range fallbackDocs {
+		if _, ok := scanPlain([]byte(doc)); ok {
+			f.Fatalf("scanPlain accepts %s, which must take the encoding/json fallback", doc)
+		}
+		f.Add([]byte(doc))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in, err := ReadInstanceJSON(bytes.NewReader(data))
-		if err != nil {
-			return
+		want, wantErr := refReadInstanceJSON(data)
+		checkSame(t, "ReadInstanceJSON", in, err, want, wantErr)
+		ring, err := ReadRingJSON(bytes.NewReader(data))
+		wantRing, wantErr := refReadRingJSON(data)
+		checkSame(t, "ReadRingJSON", ring, err, wantRing, wantErr)
+		gotIn, gotRing, err := DecodeJSON(data)
+		wantIn, wantRing, wantErr := refDecodeJSON(data)
+		checkSame(t, "DecodeJSON path", gotIn, err, wantIn, wantErr)
+		checkSame(t, "DecodeJSON ring", gotRing, err, wantRing, wantErr)
+		if err != nil && err.Error() != wantErr.Error() {
+			t.Fatalf("DecodeJSON error %q, reference %q", err, wantErr)
 		}
-		if err := in.Validate(); err != nil {
-			t.Fatalf("decoder accepted an invalid instance: %v", err)
+		if in == nil {
+			return
 		}
 		var buf bytes.Buffer
 		if err := in.WriteJSON(&buf); err != nil {
 			t.Fatalf("re-encode: %v", err)
+		}
+		if _, ok := scanPlain(buf.Bytes()); !ok && len(in.Tasks) > 0 {
+			t.Fatalf("WriteJSON wrote a document outside the plain grammar:\n%s", buf.Bytes())
 		}
 		back, err := ReadInstanceJSON(&buf)
 		if err != nil {
@@ -46,6 +82,120 @@ func FuzzReadInstanceJSON(f *testing.F) {
 			t.Fatalf("round trip drifted:\n got: %+v\nwant: %+v", back, in)
 		}
 	})
+}
+
+// fallbackDocs are documents outside the plain grammar, each valid JSON or
+// nearly so, that the decoders must hand to encoding/json.
+var fallbackDocs = []string{
+	// Keys encoding/json matches case-insensitively.
+	`{"kind":"path","Capacity":[4,8],"tasks":[{"ID":0,"start":0,"end":2,"demand":2,"weight":3}]}`,
+	// An escaped key.
+	`{"\u006bind":"path","capacity":[4],"tasks":[{"id":0,"start":0,"end":1,"demand":1,"weight":1}]}`,
+	// Unknown fields, one of them nested.
+	`{"kind":"path","capacity":[4],"tasks":[{"id":0,"start":0,"end":1,"demand":1,"weight":1,"note":"x"}]}`,
+	`{"kind":"ring","capacity":[4,4,4],"tasks":[],"meta":{"a":[1,{"b":null}],"c":"\"}"}}`,
+	// Repeated keys: the second "tasks" array decodes over the first, so its
+	// task keeps the first one's weight.
+	`{"kind":"path","capacity":[4],"capacity":[5,6],"tasks":[{"id":0,"start":0,"end":2,"demand":1,"weight":1}]}`,
+	`{"kind":"path","capacity":[4],"tasks":[{"id":0,"start":0,"end":1,"demand":1,"weight":9}],"tasks":[{"id":3,"start":0,"end":1,"demand":2}]}`,
+	`{"kind":"path","capacity":[4],"tasks":[{"id":0,"id":1,"start":0,"end":1,"demand":1,"weight":1}]}`,
+	// Missing keys, an empty kind and a kind encoding/json rejects.
+	`{"capacity":[4],"tasks":[{"id":0,"start":0,"end":1,"demand":1,"weight":1}]}`,
+	`{"kind":"","capacity":[4],"tasks":[{"id":0,"start":0,"end":1,"demand":1}]}`,
+	`{"kind":"tree","capacity":[4],"tasks":[]}`,
+	// null where arrays or numbers go.
+	`{"kind":"path","capacity":null,"tasks":null}`,
+	`{"kind":"path","capacity":[4,null],"tasks":[]}`,
+	`null`,
+	// Number literals outside the plain grammar.
+	`{"kind":"path","capacity":[1e2],"tasks":[]}`,
+	`{"kind":"path","capacity":[1.0],"tasks":[]}`,
+	`{"kind":"path","capacity":[4],"tasks":[{"id":-0,"start":0,"end":1,"demand":1,"weight":1}]}`,
+	`{"kind":"path","capacity":[9223372036854775808],"tasks":[]}`,
+	`{"kind":"path","capacity":[04],"tasks":[]}`,
+	// A UTF-8 byte order mark, and bytes after the document.
+	"\xef\xbb\xbf" + `{"kind":"path","capacity":[4],"tasks":[]}`,
+	`{"kind":"path","capacity":[4],"tasks":[]} trailing`,
+	`{"kind":"path","capacity":[4],"tasks":[]}{}`,
+}
+
+// checkSame fails t unless got and err agree with the reference's want and
+// wantErr: both rejected, or both accepted with deeply equal instances.
+func checkSame[T any](t *testing.T, name string, got *T, err error, want *T, wantErr error) {
+	t.Helper()
+	if (err == nil) != (wantErr == nil) {
+		t.Fatalf("%s: error %v, reference error %v", name, err, wantErr)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: decoded %+v, reference %+v", name, got, want)
+	}
+}
+
+// refDecodeJSON is the serving layer's decode as it stood before the plain
+// scanner: a kind probe with json.Unmarshal, then the reader of that kind.
+func refDecodeJSON(data []byte) (*Instance, *RingInstance, error) {
+	var probe struct {
+		Kind string `json:"kind"`
+	}
+	if err := json.Unmarshal(data, &probe); err != nil {
+		return nil, nil, fmt.Errorf("decode request: %w", err)
+	}
+	switch probe.Kind {
+	case "", "path":
+		in, err := refReadInstanceJSON(data)
+		return in, nil, err
+	case "ring":
+		r, err := refReadRingJSON(data)
+		return nil, r, err
+	default:
+		return nil, nil, fmt.Errorf("decode request: unknown kind %q", probe.Kind)
+	}
+}
+
+// refReadInstanceJSON is ReadInstanceJSON as it stood before the plain
+// scanner, with one change: data must hold exactly one JSON document, where
+// json.Decoder stopped after the first.
+func refReadInstanceJSON(data []byte) (*Instance, error) {
+	var doc instanceJSON
+	if err := json.NewDecoder(bytes.NewReader(data)).Decode(&doc); err != nil {
+		return nil, fmt.Errorf("decode instance: %w", err)
+	}
+	if !json.Valid(data) {
+		return nil, errors.New("decode instance: bytes after the document")
+	}
+	if doc.Kind != "" && doc.Kind != "path" {
+		return nil, fmt.Errorf("decode instance: kind %q is not a path instance", doc.Kind)
+	}
+	in := &Instance{Capacity: doc.Capacity}
+	for _, t := range doc.Tasks {
+		in.Tasks = append(in.Tasks, Task{ID: t.ID, Start: t.Start, End: t.End, Demand: t.Demand, Weight: t.Weight})
+	}
+	if err := in.Validate(); err != nil {
+		return nil, fmt.Errorf("decode instance: %w", err)
+	}
+	return in, nil
+}
+
+// refReadRingJSON is ReadRingJSON as refReadInstanceJSON is ReadInstanceJSON.
+func refReadRingJSON(data []byte) (*RingInstance, error) {
+	var doc ringJSON
+	if err := json.NewDecoder(bytes.NewReader(data)).Decode(&doc); err != nil {
+		return nil, fmt.Errorf("decode ring instance: %w", err)
+	}
+	if !json.Valid(data) {
+		return nil, errors.New("decode ring instance: bytes after the document")
+	}
+	if doc.Kind != "ring" {
+		return nil, fmt.Errorf("decode ring instance: kind %q is not a ring instance", doc.Kind)
+	}
+	r := &RingInstance{Capacity: doc.Capacity}
+	for _, t := range doc.Tasks {
+		r.Tasks = append(r.Tasks, RingTask{ID: t.ID, Start: t.Start, End: t.End, Demand: t.Demand, Weight: t.Weight})
+	}
+	if err := r.Validate(); err != nil {
+		return nil, fmt.Errorf("decode ring instance: %w", err)
+	}
+	return r, nil
 }
 
 // FuzzValidSAP checks the validator never panics on arbitrary placements

@@ -1,6 +1,7 @@
 package sapcache
 
 import (
+	"encoding/hex"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -46,6 +47,46 @@ func TestKeyOfPermutationInvariant(t *testing.T) {
 	}
 	if KeyOfRing(ring) == KeyOf(in) {
 		t.Error("ring and path instances share a key")
+	}
+}
+
+// TestKeyGolden pins the key bytes. store.File logs are keyed by these
+// digests on disk, so a drift would silently orphan every store written by
+// earlier servers. The path instance is given out of normal form and with
+// magnitudes past 32 bits; both keys must equal their canonical instance's.
+func TestKeyGolden(t *testing.T) {
+	path := &model.Instance{
+		Capacity: []int64{8, 6, 1 << 40, 4},
+		Tasks: []model.Task{
+			{ID: 7, Start: 2, End: 4, Demand: 3, Weight: 1 << 40},
+			{ID: 2, Start: 0, End: 2, Demand: 3, Weight: 10},
+			{ID: 5, Start: 0, End: 2, Demand: 3, Weight: 10},
+			{ID: 0, Start: 1, End: 4, Demand: 2, Weight: 7},
+			{ID: 3, Start: 0, End: 2, Demand: 1, Weight: 0},
+			{ID: 9, Start: 0, End: 1, Demand: 4, Weight: 6},
+		},
+	}
+	ring := &model.RingInstance{
+		Capacity: []int64{5, 6, 7, 9},
+		Tasks: []model.RingTask{
+			{ID: 4, Start: 0, End: 2, Demand: 2, Weight: 9},
+			{ID: 1, Start: 1, End: 3, Demand: 1, Weight: 4},
+			{ID: 0, Start: 3, End: 1, Demand: 3, Weight: 5},
+		},
+	}
+	const (
+		wantPath = "4fb378e451318f4e7d613b4062b155f179380805569f88022efa17c9968c5525"
+		wantRing = "43d9917a953fe3c3ee9d6b5dff3eabe6fbfc9fc56636a76aa20b34bcd9d8fc6f"
+	)
+	for want, keys := range map[string][2]Key{
+		wantPath: {KeyOf(path), KeyOf(path.Canonicalize())},
+		wantRing: {KeyOfRing(ring), KeyOfRing(ring.Canonicalize())},
+	} {
+		for _, k := range keys {
+			if got := hex.EncodeToString(k[:]); got != want {
+				t.Errorf("key %s, want %s", got, want)
+			}
+		}
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package serve is the long-running serving layer over the solver
 // pipeline: an HTTP/JSON API (POST /v1/solve for path and ring instances,
-// GET /healthz, GET /metricsz) that reuses model.ReadInstanceJSON /
-// WriteJSON as the wire format and core.SolveCtx with per-request
-// deadlines as the engine.
+// GET /healthz, GET /metricsz) that reuses model.DecodeJSON / WriteJSON
+// as the wire format and core.SolveCtx with per-request deadlines as the
+// engine.
 //
 // In front of the solver sit three production shields, applied in order:
 //
@@ -253,9 +253,9 @@ func decodeStored(b []byte) (any, int64, error) {
 	if len(b) < 4 {
 		return nil, 0, fmt.Errorf("stored response too short: %d bytes", len(b))
 	}
+	// Store.Get already returns a copy, so the body can alias it.
 	tasks := int(binary.BigEndian.Uint32(b))
-	body := append([]byte(nil), b[4:]...)
-	return &cachedResponse{body: body, tasks: tasks}, int64(tasks), nil
+	return &cachedResponse{body: b[4:], tasks: tasks}, int64(tasks), nil
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -279,14 +279,8 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		s.refuse(w, http.StatusServiceUnavailable, "server draining")
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			httpError(w, http.StatusRequestEntityTooLarge, "body exceeds %d bytes", tooLarge.Limit)
-			return
-		}
-		httpError(w, http.StatusBadRequest, "read body: %v", err)
+	body, ok := s.readBody(w, r)
+	if !ok {
 		return
 	}
 	timeout, err := s.requestTimeout(r)
@@ -360,6 +354,46 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	writeSolveResponse(w, resp.body, source)
 }
 
+// maxBodyHint caps the buffer readBody sizes from Content-Length before
+// the body arrives, so a request announcing a large body it never sends
+// cannot make the server allocate MaxBodyBytes up front; a larger body
+// grows the buffer as it is read.
+const maxBodyHint = 1 << 20
+
+// readBody reads the request body once, bounded by MaxBodyBytes, into a
+// buffer sized from Content-Length: a body of at most maxBodyHint bytes
+// costs one allocation. On failure readBody writes the 413 or 400 response
+// and returns false.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	size := int64(bytes.MinRead)
+	if r.ContentLength >= 0 {
+		// One byte past the body leaves room for the read that returns
+		// io.EOF.
+		size = min(r.ContentLength, maxBodyHint, s.cfg.MaxBodyBytes) + 1
+	}
+	b := make([]byte, 0, size)
+	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	for {
+		n, err := body.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			return b, true
+		}
+		if err != nil {
+			var tooLarge *http.MaxBytesError
+			if errors.As(err, &tooLarge) {
+				httpError(w, http.StatusRequestEntityTooLarge, "body exceeds %d bytes", tooLarge.Limit)
+				return nil, false
+			}
+			httpError(w, http.StatusBadRequest, "read body: %v", err)
+			return nil, false
+		}
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)] // let append pick the next capacity
+		}
+	}
+}
+
 // requestTimeout resolves the per-request deadline: the ?timeout= query
 // parameter (a Go duration) clamped to MaxTimeout, DefaultTimeout when
 // absent.
@@ -381,38 +415,24 @@ func (s *Server) requestTimeout(r *http.Request) (time.Duration, error) {
 	return d, nil
 }
 
-// decode parses and validates the request body (the trust boundary: both
-// readers reject anything model.Validate would not accept, and the
-// canonical key is computed only for admissible instances). It returns the
-// cache key, a closure that runs the right solver on the canonical
+// decode parses and validates the request body (the trust boundary:
+// model.DecodeJSON rejects anything model.Validate would not accept, and
+// the canonical key is computed only for admissible instances). It returns
+// the cache key, a closure that runs the right solver on the canonical
 // instance, and the instance's task count.
 func (s *Server) decode(body []byte, timeout time.Duration) (sapcache.Key, func() (*cachedResponse, error), int, error) {
-	var probe struct {
-		Kind string `json:"kind"`
+	in, ring, err := model.DecodeJSON(body)
+	if err != nil {
+		return sapcache.Key{}, nil, 0, err
 	}
-	if err := json.Unmarshal(body, &probe); err != nil {
-		return sapcache.Key{}, nil, 0, fmt.Errorf("decode request: %w", err)
-	}
-	switch probe.Kind {
-	case "", "path":
-		in, err := model.ReadInstanceJSON(bytes.NewReader(body))
-		if err != nil {
-			return sapcache.Key{}, nil, 0, err
-		}
-		canon := in.Canonicalize()
-		fn := func() (*cachedResponse, error) { return s.solvePath(canon, timeout) }
-		return sapcache.KeyOf(canon), fn, len(canon.Tasks), nil
-	case "ring":
-		ring, err := model.ReadRingJSON(bytes.NewReader(body))
-		if err != nil {
-			return sapcache.Key{}, nil, 0, err
-		}
+	if ring != nil {
 		canon := ring.Canonicalize()
 		fn := func() (*cachedResponse, error) { return s.solveRing(canon, timeout) }
 		return sapcache.KeyOfRing(canon), fn, len(canon.Tasks), nil
-	default:
-		return sapcache.Key{}, nil, 0, fmt.Errorf("decode request: unknown kind %q", probe.Kind)
 	}
+	canon := in.Canonicalize()
+	fn := func() (*cachedResponse, error) { return s.solvePath(canon, timeout) }
+	return sapcache.KeyOf(canon), fn, len(canon.Tasks), nil
 }
 
 // admit passes the request through admission control: a non-blocking

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -302,6 +303,10 @@ func TestServeInputErrors(t *testing.T) {
 			{"id": 0, "start": 0, "end": 1, "demand": 1, "weight": 1}]}`, http.StatusBadRequest},
 		{"ring kind with path shape ok", `{"kind": "ring", "capacity": [2, 2, 2],
 			"tasks": [{"id": 0, "start": 0, "end": 1, "demand": 1, "weight": 1}]}`, http.StatusOK},
+		{"bytes after the document", `{"kind": "path", "capacity": [4],
+			"tasks": [{"id": 0, "start": 0, "end": 1, "demand": 1, "weight": 1}]} trailing`, http.StatusBadRequest},
+		{"case-folded and unknown keys ok", `{"KIND": "path", "Capacity": [4, 4], "note": {"by": "hand"},
+			"Tasks": [{"ID": 0, "Start": 0, "End": 2, "Demand": 1, "Weight": 1, "label": "a"}]}`, http.StatusOK},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -456,6 +461,24 @@ func TestServeBodyLimit(t *testing.T) {
 	resp, got := postJSON(t, ts, "/v1/solve", bytes.Repeat([]byte("x"), 200))
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Errorf("oversized body: status %d, body %s", resp.StatusCode, got)
+	}
+}
+
+// TestServeBodyUnknownLength sends a body without Content-Length (the
+// client sends it chunked) that is longer than the buffer readBody starts
+// with, so the read grows the buffer; the trailing whitespace must be read
+// and accepted.
+func TestServeBodyUnknownLength(t *testing.T) {
+	ts := newTestServer(t, Config{})
+	body := io.MultiReader(bytes.NewReader(encodeInstance(t, testInstance(0))), strings.NewReader(strings.Repeat(" \n", 2048)))
+	resp, err := http.Post(ts.URL+"/v1/solve", "application/json", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("chunked body: status %d, body %s", resp.StatusCode, got)
 	}
 }
 

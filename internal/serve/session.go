@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"io"
 	"net/http"
 	"time"
 
@@ -73,14 +72,8 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		s.refuse(w, http.StatusServiceUnavailable, "server draining")
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			httpError(w, http.StatusRequestEntityTooLarge, "body exceeds %d bytes", tooLarge.Limit)
-			return
-		}
-		httpError(w, http.StatusBadRequest, "read body: %v", err)
+	body, ok := s.readBody(w, r)
+	if !ok {
 		return
 	}
 	timeout, err := s.requestTimeout(r)
@@ -119,14 +112,8 @@ func (s *Server) handleSessionDelta(w http.ResponseWriter, r *http.Request) {
 		s.refuse(w, http.StatusServiceUnavailable, "server draining")
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			httpError(w, http.StatusRequestEntityTooLarge, "body exceeds %d bytes", tooLarge.Limit)
-			return
-		}
-		httpError(w, http.StatusBadRequest, "read body: %v", err)
+	body, ok := s.readBody(w, r)
+	if !ok {
 		return
 	}
 	timeout, err := s.requestTimeout(r)

@@ -146,6 +146,10 @@ func TestServeSessionErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("ring create: %d", resp.StatusCode)
 	}
+	resp, _ = postJSON(t, ts, "/v1/session", append(encodeInstance(t, testInstance(0)), "trailing"...))
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("create with bytes after the document: %d", resp.StatusCode)
+	}
 
 	// Invalid deltas are 400 and atomic.
 	in := testInstance(0)
