@@ -85,16 +85,14 @@ func main() {
 		if err != nil {
 			fatalf("%v", err)
 		}
-		var sol *window.Solution
 		label := "windowed exact"
-		if len(win.Tasks) <= window.MaxTasks {
-			sol, err = window.SolveExact(win, window.Options{})
-			if err != nil && !errors.Is(err, window.ErrBudget) {
-				fatalf("%v", err)
-			}
-		} else {
+		sol, err := window.SolveExact(win, window.Options{})
+		switch {
+		case errors.Is(err, window.ErrTooLarge):
 			sol = window.Greedy(win)
 			label = "windowed greedy"
+		case err != nil && !errors.Is(err, window.ErrBudget):
+			fatalf("%v", err)
 		}
 		if err := window.Valid(win, sol); err != nil {
 			fatalf("internal error: infeasible windowed solution: %v", err)

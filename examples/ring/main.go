@@ -41,8 +41,9 @@ func main() {
 			p.Task.ID, p.Orientation, p.Height, p.Top(), p.Task.Weight)
 	}
 
-	// Exact comparison (orientation enumeration + branch & bound). On a
-	// budget exhaustion the incumbent is still a valid lower bound on OPT.
+	// Exact comparison (branch & bound over each task's orientation and
+	// height). On a budget exhaustion the incumbent is still a valid lower
+	// bound on OPT.
 	opt, err := exact.SolveRingSAP(ring, exact.Options{})
 	note := ""
 	if errors.Is(err, exact.ErrBudget) {

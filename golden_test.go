@@ -92,6 +92,13 @@ func TestGoldenRingOptima(t *testing.T) {
 		{"ring901", 901, 4, 6, 337, 326},
 		{"ring902", 902, 5, 7, 371, 346},
 		{"ring903", 903, 6, 8, 313, 247},
+		// 9–10-task rings: 2^n single-orientation searches, each with a
+		// 1/2^n share of the 30M nodes, cannot prove them; one search
+		// branching over orientations can. ring195's greedy seed already
+		// schedules all 10 tasks, so the bound closes the search at once.
+		{"ring195", 195, 4, 10, 446, 265},
+		{"ring132", 132, 6, 10, 448, 224},
+		{"ring145", 145, 4, 9, 349, 231},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

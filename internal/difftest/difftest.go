@@ -106,9 +106,10 @@ func classCounts(in *model.Instance) (small, medium, large int) {
 
 // SAPSolvers returns the SAP solver registry: both Strip-Pack roundings,
 // AlmostUniform, the rectangle reduction, the combined (9+ε) core, and the
-// windowed exact engine degenerated to plain SAP (a second, structurally
-// independent exact solver — its Factor 1 forces exact agreement with the
-// branch-and-bound bound on small instances).
+// window adapter degenerated to plain SAP. The adapter runs the same
+// branch-and-bound as the bound, one choice per start offset, so its
+// Factor 1 pins the adapter's agreement with the bound on small instances
+// rather than a second engine's.
 func SAPSolvers() []SAPSolver {
 	return []SAPSolver{
 		{
@@ -403,8 +404,8 @@ type RingCase struct {
 	Ring   *model.RingInstance
 }
 
-// RingCases returns seeded ring instances small enough for the exact
-// orientation-enumerating reference.
+// RingCases returns seeded ring instances small enough for the exact ring
+// reference.
 func RingCases() []RingCase {
 	var cases []RingCase
 	for i, seed := range []int64{701, 702, 703, 704, 705, 706} {
@@ -426,8 +427,8 @@ func RingCases() []RingCase {
 func RunRingMatrix(t testing.TB, cases []RingCase) {
 	usedOrientation := map[model.Orientation]bool{}
 	for _, c := range cases {
-		// Ring exact enumerates cut-edge orientations on top of the path
-		// branch-and-bound, so it gets a larger node budget.
+		// Ring exact branches on each task's orientation as well as on the
+		// next task, so it gets a larger budget than exactNodeBudget.
 		opt, err := exact.SolveRingSAP(c.Ring, exact.Options{MaxNodes: 30_000_000})
 		if err != nil {
 			t.Errorf("%s [replay: %s]: exact: %v", c.Name, c.Replay, err)

@@ -199,10 +199,10 @@ func TestWindowCancelMidSolve(t *testing.T) {
 	in := window.Widen(window.Fixed(sap), 3)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	// The site fires once at solve entry and then every 1024 nodes; After=1
-	// skips the entry hit so the cancel lands mid-search.
+	// The window search runs on exact's branch-and-bound, whose node site
+	// fires every 1024 nodes; its first hit lands mid-search.
 	plan := faultinject.NewPlan(faultinject.Injection{
-		Site: "window/solve", Kind: faultinject.KindCancel, After: 1, Once: true,
+		Site: "exact/sap/node", Kind: faultinject.KindCancel, After: 0, Once: true,
 	})
 	plan.SetCancel(cancel)
 	defer faultinject.Activate(plan)()

@@ -10,7 +10,15 @@
 // moved down to its lowest feasible slot without losing completability.
 // The branch-and-bound therefore branches only on which task is placed next
 // and always places it at its lowest feasible candidate height (0 or the
-// top of an already placed, path-intersecting task).
+// top of an already placed, edge-sharing task).
+//
+// One branch-and-bound serves every SAP variant: each task carries one or
+// more placement choices (an edge set with its capacity ceiling), and the
+// search also branches on the choice. A path task has one choice; a ring
+// task has two, its clockwise and counter-clockwise arcs (SolveRingSAP);
+// a windowed task has one per start offset (SolveChoicesCtx, used by
+// package window). The exchange argument holds for every fixed assignment
+// of choices, so the search stays complete.
 package exact
 
 import (
@@ -23,7 +31,6 @@ import (
 
 	"sapalloc/internal/faultinject"
 	"sapalloc/internal/model"
-	"sapalloc/internal/par"
 	"sapalloc/internal/saperr"
 	"sapalloc/internal/scratch"
 )
@@ -40,17 +47,18 @@ const MaxTasks = 62
 // up".
 var ErrBudget = errors.New("exact: search budget exhausted")
 
-// item is the geometry-only view of a task used by the shared search core:
-// an explicit edge set (as a bitset), demand, weight, and the bottleneck
-// capacity that upper-bounds the item's top.
-type item struct {
-	edges  []uint64
-	demand int64
-	weight int64
-	cap    int64
+// MaxChoices caps the total number of placement choices one search
+// accepts: the overlap table holds one entry per pair of choices.
+const MaxChoices = 1024
+
+// choice is one way to place an item: the edges it would occupy (a bitset)
+// and the bottleneck capacity over them, which bounds the item's top.
+type choice struct {
+	edges []uint64
+	cap   int64
 }
 
-func (a item) overlaps(b item) bool {
+func (a choice) overlaps(b choice) bool {
 	for w := range a.edges {
 		if a.edges[w]&b.edges[w] != 0 {
 			return true
@@ -59,12 +67,20 @@ func (a item) overlaps(b item) bool {
 	return false
 }
 
-// rect is a committed placement on the search stack. MaxTasks (62) keeps
-// itemIdx comfortably inside int32, shrinking the stack's footprint.
+// item is the geometry-only view of a task used by the search: demand,
+// weight, and the index range [first, end) of its placement choices. A path
+// task has one choice, a ring task one per orientation and a windowed task
+// one per start offset.
+type item struct {
+	demand, weight int64
+	first, end     int
+}
+
+// rect is a committed placement on the search stack. MaxTasks and
+// MaxChoices keep both indices comfortably inside int32.
 type rect struct {
-	itemIdx int32
-	bottom  int64
-	top     int64
+	item, choice int32
+	bottom, top  int64
 }
 
 // searcher is the shared branch-and-bound core. All working buffers come
@@ -73,101 +89,90 @@ type rect struct {
 type searcher struct {
 	ctx     context.Context
 	items   []item
-	n       int
-	overlap []bool // n×n row-major pairwise path intersection
+	choices []choice
+	overlap []bool // len(choices)² row-major: do two choices share an edge
 
 	bestWeight  int64
 	bestHeights []int64 // per item, -1 = not scheduled
+	bestChoice  []int   // per item, the choice bestHeights[i] was taken on
 	nodes       int64
 	maxNodes    int64
 	exhausted   bool
 	cancelled   bool
 
-	heights []int64 // working heights, -1 = unplaced
-	cand    []int64 // lowestSlot candidate buffer, cap n+1
-	placed  []rect  // shared placement stack, cap n
+	placed []rect // placement stack, cap len(items)
+	below  []rect // lowestSlot's sort buffer, cap len(items)
 }
 
-func newSearcher(ctx context.Context, items []item, maxNodes int64, a *scratch.Arena) *searcher {
-	n := len(items)
-	s := &searcher{ctx: ctx, items: items, n: n, maxNodes: maxNodes}
-	s.overlap = a.BoolsZero(n * n)
-	for i := 0; i < n; i++ {
-		row := s.overlap[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			if i != j {
-				row[j] = items[i].overlaps(items[j])
+func newSearcher(ctx context.Context, items []item, choices []choice, maxNodes int64, a *scratch.Arena) *searcher {
+	n, nc := len(items), len(choices)
+	s := &searcher{ctx: ctx, items: items, choices: choices, maxNodes: maxNodes}
+	s.overlap = a.BoolsZero(nc * nc)
+	for i := 0; i < nc; i++ {
+		for j := i + 1; j < nc; j++ {
+			if choices[i].overlaps(choices[j]) {
+				s.overlap[i*nc+j] = true
+				s.overlap[j*nc+i] = true
 			}
 		}
 	}
-	s.heights = a.Int64s(n)
 	s.bestHeights = a.Int64s(n)
-	for i := range s.heights {
-		s.heights[i] = -1
-		s.bestHeights[i] = -1
-	}
-	s.cand = a.Int64s(n + 1)
-	s.placed = make([]rect, 0, n)
+	s.bestChoice = a.Ints(n)
+	rects := make([]rect, 2*n)
+	s.placed, s.below = rects[:0:n], rects[n:n]
 	return s
 }
 
-// lowestSlot returns the lowest feasible height for item j given the placed
-// rectangles, or -1 when none exists. Candidates are 0 and the tops of
-// placed items whose paths intersect j's. This is the innermost hot path:
-// it runs once per (node, item) and must not allocate — candidates go into
-// the searcher's reusable buffer and are ordered by insertion sort (the
-// keys are plain int64 values, so any sort yields the same sequence).
-func (s *searcher) lowestSlot(j int, placed []rect) int64 {
-	it := s.items[j]
-	row := s.overlap[j*s.n : (j+1)*s.n]
-	cand := append(s.cand[:0], 0)
+// lowestSlot returns the lowest height at which an item of the given demand
+// fits on choice c under the choice's capacity, given the placed
+// rectangles, or -1 when it fits nowhere. The rectangles sharing an edge
+// with c are insertion-sorted by bottom and swept upwards from 0: the
+// lowest gap tall enough starts at 0 or at the top of one of them, which is
+// where the grounded placement of Observation 11 puts the item. This is the
+// innermost hot path: it runs once per (node, choice) and must not
+// allocate.
+func (s *searcher) lowestSlot(c int, demand int64, placed []rect) int64 {
+	nc := len(s.choices)
+	row := s.overlap[c*nc : (c+1)*nc]
+	below := s.below
 	for _, r := range placed {
-		if row[r.itemIdx] {
-			cand = append(cand, r.top)
+		if !row[r.choice] {
+			continue
 		}
-	}
-	for i := 1; i < len(cand); i++ {
-		v := cand[i]
-		k := i - 1
-		for k >= 0 && cand[k] > v {
-			cand[k+1] = cand[k]
+		k := len(below)
+		below = append(below, r)
+		for k > 0 && below[k-1].bottom > r.bottom {
+			below[k] = below[k-1]
 			k--
 		}
-		cand[k+1] = v
+		below[k] = r
 	}
-	for _, h := range cand {
-		if h+it.demand > it.cap {
-			continue // candidates are ascending; later ones are worse
+	var h int64
+	for _, r := range below {
+		if r.bottom >= h+demand {
+			break // the gap [h, h+demand) is free, and so is all above it
 		}
-		ok := true
-		for _, r := range placed {
-			if row[r.itemIdx] && h < r.top && r.bottom < h+it.demand {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return h
+		if r.top > h {
+			h = r.top
 		}
 	}
-	return -1
+	if h+demand > s.choices[c].cap {
+		return -1
+	}
+	return h
 }
 
 func (s *searcher) run() {
-	n := len(s.items)
-	full := uint64(0)
-	for i := 0; i < n; i++ {
-		full |= 1 << uint(i)
-	}
 	// Seed the incumbent with a greedy packing (weight-descending first
 	// fit) so the bound prunes early.
 	s.greedySeed()
-	s.rec(full, s.placed[:0], 0)
+	s.rec(uint64(1)<<uint(len(s.items))-1, s.placed, 0)
 }
 
+// greedySeed places the items in weight-descending order, each on the
+// choice with the lowest slot (the first such choice on ties).
 func (s *searcher) greedySeed() {
-	n := len(s.items)
-	order := make([]int, n)
+	order := make([]int, len(s.items))
 	for i := range order {
 		order[i] = i
 	}
@@ -177,16 +182,34 @@ func (s *searcher) greedySeed() {
 	// different sort would silently change pinned outputs. It runs once
 	// per search, not per node.
 	sort.Slice(order, func(a, b int) bool { return s.items[order[a]].weight > s.items[order[b]].weight })
-	placed := s.placed[:0]
+	placed := s.placed
 	var w int64
 	for _, j := range order {
-		if h := s.lowestSlot(j, placed); h >= 0 {
-			placed = append(placed, rect{itemIdx: int32(j), bottom: h, top: h + s.items[j].demand})
-			s.bestHeights[j] = h
-			w += s.items[j].weight
+		it := s.items[j]
+		best := rect{bottom: -1}
+		for c := it.first; c < it.end; c++ {
+			if h := s.lowestSlot(c, it.demand, placed); h >= 0 && (best.bottom < 0 || h < best.bottom) {
+				best = rect{item: int32(j), choice: int32(c), bottom: h, top: h + it.demand}
+			}
+		}
+		if best.bottom >= 0 {
+			placed = append(placed, best)
+			w += it.weight
 		}
 	}
 	s.bestWeight = w
+	s.record(placed)
+}
+
+// record makes placed the incumbent.
+func (s *searcher) record(placed []rect) {
+	for i := range s.bestHeights {
+		s.bestHeights[i] = -1
+	}
+	for _, r := range placed {
+		s.bestHeights[r.item] = r.bottom
+		s.bestChoice[r.item] = int(r.choice)
+	}
 }
 
 // rec explores placements. remaining is the bitmask of items not yet placed
@@ -213,43 +236,56 @@ func (s *searcher) rec(remaining uint64, placed []rect, cur int64) {
 	}
 	if cur > s.bestWeight {
 		s.bestWeight = cur
-		for i := range s.bestHeights {
-			s.bestHeights[i] = s.heights[i]
-		}
+		s.record(placed)
 	}
 	// Upper bound: current + everything remaining.
 	var rem int64
 	for m := remaining; m != 0; m &= m - 1 {
-		j := bits.TrailingZeros64(m)
-		rem += s.items[j].weight
+		rem += s.items[bits.TrailingZeros64(m)].weight
 	}
 	if cur+rem <= s.bestWeight {
 		return
 	}
-	// Branch on which remaining item is placed next, at its lowest slot.
-	// The nondecreasing-height exchange argument makes this complete.
+	// Branch on which remaining item is placed next and on which choice,
+	// at that choice's lowest slot. The nondecreasing-height exchange
+	// argument makes this complete for every assignment of choices.
 	for m := remaining; m != 0; m &= m - 1 {
 		j := bits.TrailingZeros64(m)
 		if s.exhausted || s.cancelled {
 			return
 		}
-		h := s.lowestSlot(j, placed)
-		if h < 0 {
+		it := s.items[j]
+		fits := false
+		for c := it.first; c < it.end; c++ {
+			h := s.lowestSlot(c, it.demand, placed)
+			if h < 0 {
+				continue
+			}
+			fits = true
+			r := rect{item: int32(j), choice: int32(c), bottom: h, top: h + it.demand}
+			s.rec(remaining&^(1<<uint(j)), append(placed, r), cur+it.weight)
+		}
+		if !fits {
 			// j can never be placed deeper in this branch (slots only
 			// close); drop it from remaining for the whole subtree.
 			remaining &^= 1 << uint(j)
-			rem -= s.items[j].weight
+			rem -= it.weight
 			if cur+rem <= s.bestWeight {
 				return
 			}
-			continue
 		}
-		s.heights[j] = h
-		placed = append(placed, rect{itemIdx: int32(j), bottom: h, top: h + s.items[j].demand})
-		s.rec(remaining&^(1<<uint(j)), placed, cur+s.items[j].weight)
-		placed = placed[:len(placed)-1]
-		s.heights[j] = -1
 	}
+}
+
+// err reports how the search ended: cancelled, out of budget, or proved.
+func (s *searcher) err() error {
+	if s.cancelled {
+		return saperr.Cancelled(s.ctx.Err())
+	}
+	if s.exhausted {
+		return ErrBudget
+	}
+	return nil
 }
 
 // Options configures the exact solvers.
@@ -270,14 +306,6 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// edgeBits fills an edge bitset (assumed zeroed) for the half-open range
-// [start, end). Callers hand it a scratch-backed word slice.
-func edgeBits(dst []uint64, start, end int) {
-	for e := start; e < end; e++ {
-		dst[e/64] |= 1 << (uint(e) % 64)
-	}
-}
-
 // SolveSAP computes an optimal SAP solution by branch and bound. Instances
 // with more than MaxTasks tasks are rejected with ErrTooLarge; if the node
 // budget is exhausted the incumbent is returned together with ErrBudget.
@@ -290,46 +318,73 @@ func SolveSAP(in *model.Instance, opts Options) (*model.Solution, error) {
 // together with an error wrapping saperr.ErrCancelled — the anytime
 // counterpart of the ErrBudget contract.
 func SolveSAPCtx(ctx context.Context, in *model.Instance, opts Options) (*model.Solution, error) {
+	alts := make([][]model.Task, len(in.Tasks))
+	for i := range in.Tasks {
+		alts[i] = in.Tasks[i : i+1 : i+1]
+	}
+	return SolveChoicesCtx(ctx, in.Capacity, alts, opts)
+}
+
+// SolveChoicesCtx is SolveSAPCtx for tasks that may each take one of
+// several intervals of the path with the given capacities: alts[i] lists
+// task i's alternatives, all valid tasks of the path carrying task i's
+// Demand and Weight (a task with no alternatives is never scheduled). The
+// returned Solution holds, in task order, the alternative each scheduled
+// task was placed on. The search branches on the alternative as well as
+// on the next task, so it is exact under the same budget, deadline and
+// cancellation contract as SolveSAPCtx. More than MaxTasks tasks or
+// MaxChoices alternatives in total are rejected with ErrTooLarge.
+func SolveChoicesCtx(ctx context.Context, capacity []int64, alts [][]model.Task, opts Options) (*model.Solution, error) {
 	opts = opts.withDefaults()
 	if opts.Deadline > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, opts.Deadline)
 		defer cancel()
 	}
-	n := len(in.Tasks)
+	n, nc := len(alts), 0
+	for _, g := range alts {
+		nc += len(g)
+	}
 	if n > MaxTasks {
 		return nil, fmt.Errorf("%w: %d tasks (max %d)", ErrTooLarge, n, MaxTasks)
 	}
+	if nc > MaxChoices {
+		return nil, fmt.Errorf("%w: %d placement choices (max %d)", ErrTooLarge, nc, MaxChoices)
+	}
 	a, release := scratch.Acquire(ctx)
 	defer release()
-	words := in.Edges()/64 + 1
-	backing := a.Uint64sZero(n * words)
+	words := len(capacity)/64 + 1
+	backing := a.Uint64sZero(nc * words)
 	items := make([]item, n)
-	for i, t := range in.Tasks {
-		bits := backing[i*words : (i+1)*words]
-		edgeBits(bits, t.Start, t.End)
-		items[i] = item{
-			edges:  bits,
-			demand: t.Demand,
-			weight: t.Weight,
-			cap:    in.Bottleneck(t),
+	choices := make([]choice, 0, nc)
+	for i, g := range alts {
+		items[i] = item{first: len(choices), end: len(choices) + len(g)}
+		if len(g) > 0 {
+			items[i].demand, items[i].weight = g[0].Demand, g[0].Weight
+		}
+		for _, t := range g {
+			bits := backing[len(choices)*words : (len(choices)+1)*words]
+			ceiling := capacity[t.Start]
+			for e := t.Start; e < t.End; e++ {
+				bits[e/64] |= 1 << (uint(e) % 64)
+				ceiling = min(ceiling, capacity[e])
+			}
+			choices = append(choices, choice{edges: bits, cap: ceiling})
 		}
 	}
-	s := newSearcher(ctx, items, opts.MaxNodes, a)
+	s := newSearcher(ctx, items, choices, opts.MaxNodes, a)
 	s.run()
-	sol := &model.Solution{}
+	sol := &model.Solution{Items: make([]model.Placement, 0, n)}
 	for i, h := range s.bestHeights {
 		if h >= 0 {
-			sol.Items = append(sol.Items, model.Placement{Task: in.Tasks[i], Height: h})
+			t := alts[i][s.bestChoice[i]-items[i].first]
+			sol.Items = append(sol.Items, model.Placement{Task: t, Height: h})
 		}
 	}
-	if s.cancelled {
-		return sol, saperr.Cancelled(ctx.Err())
+	if len(sol.Items) == 0 {
+		sol.Items = nil // an empty solution has nil Items, like every other solver's
 	}
-	if s.exhausted {
-		return sol, ErrBudget
-	}
-	return sol, nil
+	return sol, s.err()
 }
 
 // SolveUFPP computes an optimal UFPP solution by include/exclude branch and
@@ -435,16 +490,18 @@ func SolveUFPPCtx(ctx context.Context, in *model.Instance, opts Options) ([]mode
 	return out, nil
 }
 
-// SolveRingSAP computes an optimal SAP solution on a ring by enumerating the
-// orientation of every task (2^n assignments) and running the SAP search on
-// each induced arc system. Practical for n ≤ ~14.
+// SolveRingSAP computes an optimal SAP solution on a ring. Each task may
+// be routed clockwise or counter-clockwise, and the branch-and-bound
+// branches on that orientation as a placement choice, in one search over
+// all tasks. Instances with more than MaxTasks tasks are rejected with
+// ErrTooLarge.
 func SolveRingSAP(r *model.RingInstance, opts Options) (*model.RingSolution, error) {
 	return SolveRingSAPCtx(context.Background(), r, opts)
 }
 
-// SolveRingSAPCtx is SolveRingSAP under a context; on cancellation the best
-// incumbent across the orientation masks searched so far is returned with
-// an error wrapping saperr.ErrCancelled.
+// SolveRingSAPCtx is SolveRingSAP under a context; on cancellation the
+// feasible incumbent found so far is returned with an error wrapping
+// saperr.ErrCancelled.
 func SolveRingSAPCtx(ctx context.Context, r *model.RingInstance, opts Options) (*model.RingSolution, error) {
 	opts = opts.withDefaults()
 	if opts.Deadline > 0 {
@@ -453,90 +510,51 @@ func SolveRingSAPCtx(ctx context.Context, r *model.RingInstance, opts Options) (
 		defer cancel()
 	}
 	n := len(r.Tasks)
-	if n > 20 {
-		return nil, fmt.Errorf("%w: %d ring tasks (max 20 for orientation enumeration)", ErrTooLarge, n)
+	if n > MaxTasks {
+		return nil, fmt.Errorf("%w: %d ring tasks (max %d)", ErrTooLarge, n, MaxTasks)
 	}
-	m := r.Edges()
-	words := m/64 + 1
-	type maskOut struct {
-		sol       *model.RingSolution
-		weight    int64
-		exhausted bool
-		cancelled bool
+	a, release := scratch.Acquire(ctx)
+	defer release()
+	items, choices := ringChoices(r, a)
+	s := newSearcher(ctx, items, choices, opts.MaxNodes, a)
+	s.run()
+	sol := &model.RingSolution{}
+	for i, h := range s.bestHeights {
+		if h >= 0 {
+			sol.Items = append(sol.Items, model.RingPlacement{
+				Task: r.Tasks[i], Orientation: ringOrientations[s.bestChoice[i]-2*i], Height: h,
+			})
+		}
 	}
-	// One sparse-table build answers every (task, orientation) arc
-	// bottleneck across all 2^n assignments in O(1).
+	return sol, s.err()
+}
+
+// ringOrientations lists a ring task's two choices in choice order.
+var ringOrientations = [2]model.Orientation{model.Clockwise, model.CounterClockwise}
+
+// ringChoices gives ring task i the choices 2i (clockwise arc) and 2i+1
+// (counter-clockwise arc).
+func ringChoices(r *model.RingInstance, a *scratch.Arena) ([]item, []choice) {
+	n, words := len(r.Tasks), r.Edges()/64+1
+	backing := a.Uint64sZero(2 * n * words)
+	// One sparse-table build answers every arc bottleneck in O(1).
 	capIx := r.Index()
-	// Orientation assignments are independent; search them concurrently
-	// and merge in mask order for determinism. ForEachCtx with caller-owned
-	// slots (rather than MapCtx) keeps the incumbents of masks that
-	// completed before a cancellation.
-	outs := make([]maskOut, 1<<uint(n))
-	err := par.ForEachCtx(ctx, 1<<uint(n), 0, func(mask int) error {
-		// Arenas are single-goroutine: each orientation mask runs on a
-		// pool worker, so it takes its own pooled arena rather than any
-		// arena attached to the shared ctx.
-		a := scratch.Get()
-		defer scratch.Put(a)
-		backing := a.Uint64sZero(n * words)
-		items := make([]item, n)
-		orients := make([]model.Orientation, n)
-		for i, t := range r.Tasks {
-			o := model.Clockwise
-			if mask&(1<<uint(i)) != 0 {
-				o = model.CounterClockwise
-			}
-			orients[i] = o
-			bits := backing[i*words : (i+1)*words]
+	items := make([]item, n)
+	choices := make([]choice, 2*n)
+	for i, t := range r.Tasks {
+		items[i] = item{demand: t.Demand, weight: t.Weight, first: 2 * i, end: 2*i + 2}
+		for k, o := range ringOrientations {
+			c := 2*i + k
+			bits := backing[c*words : (c+1)*words]
 			r.ForEachArcEdge(t, o, func(e int) bool {
 				bits[e/64] |= 1 << (uint(e) % 64)
 				return true
 			})
 			from, to := t.ArcEndpoints(o)
-			items[i] = item{edges: bits, demand: t.Demand, weight: t.Weight, cap: capIx.ArcMin(from, to)}
-		}
-		s := newSearcher(ctx, items, opts.MaxNodes/int64(1<<uint(n))+1, a)
-		s.run()
-		sol := &model.RingSolution{}
-		for i, h := range s.bestHeights {
-			if h >= 0 {
-				sol.Items = append(sol.Items, model.RingPlacement{
-					Task: r.Tasks[i], Orientation: orients[i], Height: h,
-				})
-			}
-		}
-		outs[mask] = maskOut{sol: sol, weight: s.bestWeight, exhausted: s.exhausted, cancelled: s.cancelled}
-		return nil
-	})
-	if err != nil && !saperr.IsCancelled(err) {
-		return nil, err
-	}
-	best := &model.RingSolution{}
-	var bestW int64 = -1
-	budgetHit := false
-	cancelHit := err != nil
-	for _, out := range outs {
-		if out.sol == nil {
-			continue // mask never ran (dispatch stopped by cancellation)
-		}
-		if out.exhausted {
-			budgetHit = true
-		}
-		if out.cancelled {
-			cancelHit = true
-		}
-		if out.weight > bestW {
-			bestW = out.weight
-			best = out.sol
+			choices[c] = choice{edges: bits, cap: capIx.ArcMin(from, to)}
 		}
 	}
-	if cancelHit {
-		return best, saperr.Cancelled(ctx.Err())
-	}
-	if budgetHit {
-		return best, ErrBudget
-	}
-	return best, nil
+	return items, choices
 }
 
 // SolveSAPAuto picks the best exact engine for the instance: thin uniform

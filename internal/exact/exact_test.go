@@ -1,11 +1,14 @@
 package exact
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
 
+	"sapalloc/internal/gen"
 	"sapalloc/internal/model"
+	"sapalloc/internal/scratch"
 )
 
 func randomInstance(r *rand.Rand, m, n int, maxCap, maxDemand int64) *model.Instance {
@@ -258,11 +261,55 @@ func TestSolveRingSAPOrientationMatters(t *testing.T) {
 
 func TestSolveRingSAPTooLarge(t *testing.T) {
 	ring := &model.RingInstance{Capacity: []int64{5, 5, 5}}
-	for i := 0; i < 21; i++ {
+	for i := 0; i < MaxTasks+1; i++ {
 		ring.Tasks = append(ring.Tasks, model.RingTask{ID: i, Start: 0, End: 1, Demand: 1, Weight: 1})
 	}
 	if _, err := SolveRingSAP(ring, Options{}); !errors.Is(err, ErrTooLarge) {
 		t.Errorf("want ErrTooLarge, got %v", err)
+	}
+}
+
+// ringPerMask is the orientation enumeration, a test-only reference: one
+// search per assignment of orientations, each item restricted to the
+// single arc its mask bit picks. It returns the best weight over all 2^n
+// assignments.
+func ringPerMask(t *testing.T, r *model.RingInstance) int64 {
+	a := scratch.Get()
+	defer scratch.Put(a)
+	items, choices := ringChoices(r, a)
+	var best int64
+	for mask := 0; mask < 1<<len(items); mask++ {
+		fixed := make([]item, len(items))
+		for i, it := range items {
+			c := it.first + mask>>i&1
+			fixed[i] = item{demand: it.demand, weight: it.weight, first: c, end: c + 1}
+		}
+		s := newSearcher(context.Background(), fixed, choices, 0, a)
+		s.run()
+		if err := s.err(); err != nil {
+			t.Fatalf("mask %b: %v", mask, err)
+		}
+		best = max(best, s.bestWeight)
+	}
+	return best
+}
+
+// One search branching over both orientations must find the best optimum
+// of the 2^n single-orientation searches.
+func TestSolveRingSAPMatchesPerMask(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		edges, tasks := 3+int(seed%4), 1+int(seed%7)
+		ring := gen.Ring(seed, edges, tasks, 8, 33)
+		sol, err := SolveRingSAP(ring, Options{})
+		if err != nil {
+			t.Fatalf("gen.Ring(%d, %d, %d, 8, 33): %v", seed, edges, tasks, err)
+		}
+		if err := model.ValidRingSAP(ring, sol); err != nil {
+			t.Fatalf("gen.Ring(%d, %d, %d, 8, 33): %v", seed, edges, tasks, err)
+		}
+		if want := ringPerMask(t, ring); sol.Weight() != want {
+			t.Fatalf("gen.Ring(%d, %d, %d, 8, 33): weight %d, per-mask best %d", seed, edges, tasks, sol.Weight(), want)
+		}
 	}
 }
 

@@ -12,11 +12,12 @@ import (
 )
 
 // TestRingExactVsApprox cross-checks the two independent ring engines on
-// small rings: the exact orientation-enumerating reference and the
-// (10+ε)-approximation of Theorem 5. Both must be oracle-feasible, the
-// approximation can never beat the optimum, the ratio must stay within
-// 10+ε, and across the suite the solutions must exercise both arc
-// orientations (otherwise the ring reduction degenerates to a path test).
+// small rings: the exact reference (one search branching over both
+// orientations of every task) and the (10+ε)-approximation of Theorem 5.
+// Both must be oracle-feasible, the approximation can never beat the
+// optimum, the ratio must stay within 10+ε, and across the suite the
+// solutions must exercise both arc orientations (otherwise the ring
+// reduction degenerates to a path test).
 func TestRingExactVsApprox(t *testing.T) {
 	seeds := []struct {
 		seed         int64

@@ -12,7 +12,7 @@
 // FuzzScratchReuse target):
 //
 //   - An Arena is single-goroutine: every fork-join fan-out point
-//     (core arms, per-class solves, ring orientation masks) must give each
+//     (core arms, per-class solves, ring arms) must give each
 //     worker its own Arena — Get one from the pool inside the worker body,
 //     or shadow the context with With before calling down.
 //   - Arena-backed memory must not escape the solve that grabbed it.

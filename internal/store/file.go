@@ -147,8 +147,9 @@ type Provenance struct {
 	Head   Hash   // chain head as of the batch
 }
 
-// String renders the provenance as the serving layer's header value:
-// full hex so a client can check an out-of-band inclusion proof.
+// String renders the provenance as the serving layer's header value, in
+// full hex so a client can match the record hash, batch root and chain
+// head against an independently replayed copy of the log.
 func (p Provenance) String() string {
 	return fmt.Sprintf("batch=%d index=%d record=%x root=%x head=%x",
 		p.Batch, p.Index, p.Record[:], p.Root[:], p.Head[:])
@@ -666,55 +667,6 @@ func (f *File) Provenance(k Key) (Provenance, bool) {
 	return Provenance{
 		Batch: meta.seq, Index: ent.pos, Record: ent.hash, Root: meta.root, Head: meta.head,
 	}, true
-}
-
-// Prove returns a verified Merkle inclusion proof for the flushed record
-// under k: the proof links the record's leaf hash to its batch root,
-// which the chain links to the current head.
-func (f *File) Prove(k Key) ([]ProofStep, Provenance, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.closed {
-		return nil, Provenance{}, ErrClosed
-	}
-	ent, ok := f.index[k]
-	if !ok {
-		return nil, Provenance{}, fmt.Errorf("store: no flushed record for key %x", k[:8])
-	}
-	meta := f.batches[ent.batch]
-	leaves, err := f.batchLeavesLocked(meta)
-	if err != nil {
-		return nil, Provenance{}, err
-	}
-	proof, err := MerkleProof(leaves, ent.pos)
-	if err != nil {
-		return nil, Provenance{}, err
-	}
-	prov := Provenance{Batch: meta.seq, Index: ent.pos, Record: ent.hash, Root: meta.root, Head: meta.head}
-	if !VerifyInclusion(ent.hash, proof, meta.root) {
-		return nil, prov, fmt.Errorf("store: proof for key %x does not verify", k[:8])
-	}
-	obs.StoreChainVerifies.Inc()
-	return proof, prov, nil
-}
-
-// batchLeavesLocked re-reads a batch's records from disk and returns
-// their (verified) leaf hashes.
-func (f *File) batchLeavesLocked(meta batchMeta) ([]Hash, error) {
-	buf := make([]byte, meta.size)
-	if _, err := f.files[meta.seg].ReadAt(buf, meta.off); err != nil {
-		return nil, fmt.Errorf("store: read batch %d: %w", meta.seq, err)
-	}
-	r := bytes.NewReader(buf[batchHeader : meta.size-batchFooter])
-	leaves := make([]Hash, 0, meta.count)
-	for i := 0; i < meta.count; i++ {
-		rec, err := ReadRecord(r)
-		if err != nil {
-			return nil, fmt.Errorf("store: batch %d record %d: %w", meta.seq, i, err)
-		}
-		leaves = append(leaves, rec.Hash)
-	}
-	return leaves, nil
 }
 
 // Verify re-walks the whole log from the first segment, re-verifying

@@ -108,6 +108,39 @@ func TestFilePutGetPendingAndFlushed(t *testing.T) {
 	if prov.Head != f.Head() {
 		t.Fatalf("single-batch provenance head %s != store head %s", prov.Head, f.Head())
 	}
+
+	// A batch of several records: each provenance names its record's leaf
+	// hash and position, the batch root is the Merkle root of those
+	// leaves, and the head chains from the previous batch's head.
+	const n = 9
+	leaves := make([]Hash, n)
+	for i := range leaves {
+		mustPut(t, f, testKey(10+i), testVal(10+i))
+		leaves[i] = RecordHash(testKey(10+i), testVal(10+i))
+	}
+	if err := f.Flush(); err != nil {
+		t.Fatalf("Flush: %v", err)
+	}
+	root := MerkleRoot(leaves)
+	for i := range leaves {
+		p, ok := f.Provenance(testKey(10 + i))
+		if !ok {
+			t.Fatalf("record %d: flushed record must have provenance", i)
+		}
+		if p.Batch != 2 || p.Index != i || p.Record != leaves[i] {
+			t.Fatalf("record %d: provenance %+v does not name batch 2, index %d, leaf %s", i, p, i, leaves[i])
+		}
+		if p.Root != root {
+			t.Fatalf("record %d: root %s != Merkle root of the batch's leaves %s", i, p.Root, root)
+		}
+		if p.Head != ChainHead(prov.Head, root) || p.Head != f.Head() {
+			t.Fatalf("record %d: head %s does not chain from %s and root %s", i, p.Head, prov.Head, root)
+		}
+	}
+	if prov.Record != RecordHash(k, v) || prov.Root != MerkleRoot([]Hash{prov.Record}) ||
+		ChainHead(Hash{}, prov.Root) != prov.Head {
+		t.Fatalf("first batch provenance %+v does not chain from genesis", prov)
+	}
 }
 
 func TestFileLatestWins(t *testing.T) {
@@ -363,32 +396,6 @@ func TestFileVerifyDetectsTampering(t *testing.T) {
 	// Read-time verification catches it too.
 	if _, _, err := f.Get(testKey(1)); err == nil {
 		t.Fatal("Get returned a tampered record without error")
-	}
-}
-
-func TestFileProve(t *testing.T) {
-	f, _ := openTest(t, FileConfig{})
-	const n = 9
-	for i := 0; i < n; i++ {
-		mustPut(t, f, testKey(i), testVal(i))
-	}
-	if err := f.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		proof, prov, err := f.Prove(testKey(i))
-		if err != nil {
-			t.Fatalf("Prove key %d: %v", i, err)
-		}
-		if !VerifyInclusion(prov.Record, proof, prov.Root) {
-			t.Fatalf("key %d: returned proof does not verify", i)
-		}
-		if ChainHead(Hash{}, prov.Root) != prov.Head {
-			t.Fatalf("key %d: head does not chain from root", i)
-		}
-	}
-	if _, _, err := f.Prove(testKey(999)); err == nil {
-		t.Fatal("Prove of absent key must fail")
 	}
 }
 

@@ -1,10 +1,6 @@
 package store
 
-import (
-	"crypto/sha256"
-
-	"sapalloc/internal/saperr"
-)
+import "crypto/sha256"
 
 // The Merkle tree over a batch's record hashes is the classic binary
 // construction: leaves are record hashes (already domain-separated, see
@@ -51,56 +47,6 @@ func MerkleRoot(leaves []Hash) Hash {
 		level = next
 	}
 	return level[0]
-}
-
-// ProofStep is one sibling on the leaf→root path. Left reports that the
-// sibling sits to the left of the running hash.
-type ProofStep struct {
-	Sibling Hash
-	Left    bool
-}
-
-// MerkleProof returns the inclusion proof for leaf index i, or an error
-// when i is out of range. Verify the result with VerifyInclusion.
-func MerkleProof(leaves []Hash, i int) ([]ProofStep, error) {
-	if i < 0 || i >= len(leaves) {
-		return nil, saperr.CorruptStore("merkle proof index %d out of range [0,%d)", i, len(leaves))
-	}
-	var proof []ProofStep
-	level := append([]Hash(nil), leaves...)
-	for len(level) > 1 {
-		if i%2 == 0 {
-			if i+1 < len(level) {
-				proof = append(proof, ProofStep{Sibling: level[i+1], Left: false})
-			}
-			// i is a promoted odd node otherwise: no sibling this level.
-		} else {
-			proof = append(proof, ProofStep{Sibling: level[i-1], Left: true})
-		}
-		next := level[: 0 : len(level)/2+1]
-		for j := 0; j+1 < len(level); j += 2 {
-			next = append(next, nodeHash(level[j], level[j+1]))
-		}
-		if len(level)%2 == 1 {
-			next = append(next, level[len(level)-1])
-		}
-		level = next
-		i /= 2
-	}
-	return proof, nil
-}
-
-// VerifyInclusion reports whether leaf is included under root via proof.
-func VerifyInclusion(leaf Hash, proof []ProofStep, root Hash) bool {
-	h := leaf
-	for _, step := range proof {
-		if step.Left {
-			h = nodeHash(step.Sibling, h)
-		} else {
-			h = nodeHash(h, step.Sibling)
-		}
-	}
-	return h == root
 }
 
 // ChainHead advances the batch chain: the new head commits to the

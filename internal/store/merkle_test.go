@@ -45,36 +45,6 @@ func TestMerkleRootDeterministicAndOrderSensitive(t *testing.T) {
 	}
 }
 
-func TestMerkleProofAllSizes(t *testing.T) {
-	for n := 1; n <= 17; n++ {
-		leaves := testLeaves(n)
-		root := MerkleRoot(leaves)
-		for i := 0; i < n; i++ {
-			proof, err := MerkleProof(leaves, i)
-			if err != nil {
-				t.Fatalf("n=%d i=%d: %v", n, i, err)
-			}
-			if !VerifyInclusion(leaves[i], proof, root) {
-				t.Fatalf("n=%d i=%d: proof does not verify", n, i)
-			}
-			// A proof for leaf i must not verify a different leaf.
-			other := sha256.Sum256([]byte("impostor"))
-			if VerifyInclusion(other, proof, root) {
-				t.Fatalf("n=%d i=%d: proof verifies a foreign leaf", n, i)
-			}
-		}
-	}
-}
-
-func TestMerkleProofOutOfRange(t *testing.T) {
-	leaves := testLeaves(3)
-	for _, i := range []int{-1, 3, 100} {
-		if _, err := MerkleProof(leaves, i); err == nil {
-			t.Fatalf("index %d: want error", i)
-		}
-	}
-}
-
 func TestMerkleOddPromotionDistinctFromDuplication(t *testing.T) {
 	// With odd-node promotion, a 3-leaf tree must differ from the 4-leaf
 	// tree that duplicates the last leaf (the classic second-preimage

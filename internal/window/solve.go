@@ -4,12 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/bits"
+	"slices"
 	"sort"
 
+	"sapalloc/internal/exact"
 	"sapalloc/internal/faultinject"
+	"sapalloc/internal/model"
 	"sapalloc/internal/saperr"
-	"sapalloc/internal/scratch"
 )
 
 // Options bounds the exact search.
@@ -35,16 +36,11 @@ func (o Options) withDefaults() (Options, error) {
 // ErrBudget is returned (with the incumbent) when the node cap is hit.
 var ErrBudget = errors.New("window: search budget exhausted")
 
-// ErrTooLarge rejects instances beyond the bitmask width.
+// ErrTooLarge rejects instances beyond the exact search's limits.
 var ErrTooLarge = errors.New("window: instance too large for exact solver")
 
 // MaxTasks caps the exact solver's task count.
 const MaxTasks = 30
-
-// cancelMask sets the cooperative-cancellation cadence: the context (and the
-// window/solve fault site) is polled once every cancelMask+1 search nodes,
-// keeping the per-node cost of cancellation support to a masked counter test.
-const cancelMask = 1023
 
 // SolveExact computes an optimal windowed-SAP solution by branch and bound.
 // It is SolveExactCtx without cancellation, kept for callers that have no
@@ -53,13 +49,16 @@ func SolveExact(in *Instance, opts Options) (*Solution, error) {
 	return SolveExactCtx(context.Background(), in, opts)
 }
 
-// SolveExactCtx computes an optimal windowed-SAP solution by branch and
-// bound. The branching enumerates, for each remaining task, every window
-// offset, and places the task at the lowest feasible height for that offset;
-// the nondecreasing-height exchange argument of Observation 11 applies to
-// each fixed offset assignment, so the search is complete.
+// SolveExactCtx computes an optimal windowed-SAP solution with exact's
+// branch-and-bound: every start offset of a task's window is one of the
+// task's placement choices, and the search branches on the offset as well
+// as on the next task, placing each at its lowest feasible height for that
+// offset. The exchange argument of Observation 11 applies to each fixed
+// offset assignment, so the search is complete. Instances with more than
+// MaxTasks tasks or exact.MaxChoices start offsets in total are rejected
+// with ErrTooLarge.
 //
-// Cancellation is cooperative: the context is checked every cancelMask+1
+// Cancellation is cooperative: the search polls the context every 1024
 // nodes, and on cancellation the best incumbent found so far (always at
 // least the greedy seed, which is feasible) is returned alongside a typed
 // saperr cancellation error.
@@ -72,217 +71,50 @@ func SolveExactCtx(ctx context.Context, in *Instance, opts Options) (*Solution, 
 	if n > MaxTasks {
 		return nil, fmt.Errorf("%w: %d tasks (max %d)", ErrTooLarge, n, MaxTasks)
 	}
+	offsets := 0
+	for _, t := range in.Tasks {
+		o := max(t.Offsets(), 0)
+		if o > exact.MaxChoices-offsets {
+			return nil, fmt.Errorf("%w: more than %d start offsets", ErrTooLarge, exact.MaxChoices)
+		}
+		offsets += o
+	}
 	faultinject.Fire(ctx, "window/solve")
 	if err := saperr.FromContext(ctx); err != nil {
 		return nil, err
 	}
-	a, release := scratch.Acquire(ctx)
-	defer release()
-	s := &winSearcher{in: in, ctx: ctx, maxNodes: opts.MaxNodes}
-	s.cand = a.Int64s(n + 1)[:0]
-	s.order = a.Ints(n)
-	s.rects = make([]winRect, 0, n)
-	s.run()
+	// Alternative k of task i is its interval slid to start Release+k; the
+	// alternative's ID is the task's index.
+	alts := make([][]model.Task, n)
+	backing := make([]model.Task, 0, offsets)
+	for i, t := range in.Tasks {
+		first := len(backing)
+		for k := 0; k < t.Offsets(); k++ {
+			s := t.Release + k
+			backing = append(backing, model.Task{ID: i, Start: s, End: s + t.Length, Demand: t.Demand, Weight: t.Weight})
+		}
+		alts[i] = backing[first:len(backing):len(backing)]
+	}
+	ssol, err := exact.SolveChoicesCtx(ctx, in.Capacity, alts, exact.Options{MaxNodes: opts.MaxNodes})
+	if ssol == nil {
+		return nil, err
+	}
+	if errors.Is(err, exact.ErrBudget) {
+		err = ErrBudget
+	}
 	sol := &Solution{}
-	for i, pl := range s.bestPlaced {
-		if pl.used {
-			sol.Items = append(sol.Items, Placement{Task: in.Tasks[i], Start: pl.start, Height: pl.height})
-		}
+	if len(ssol.Items) > 0 {
+		sol.Items = make([]Placement, len(ssol.Items))
 	}
-	if s.cancelled != nil {
-		return sol, s.cancelled
+	for k, p := range ssol.Items {
+		sol.Items[k] = Placement{Task: in.Tasks[p.Task.ID], Start: p.Task.Start, Height: p.Height}
 	}
-	if s.exhausted {
-		return sol, ErrBudget
-	}
-	return sol, nil
+	return sol, err
 }
-
-type winRect struct {
-	start, end  int
-	bottom, top int64
-}
-
-type winPlace struct {
-	used   bool
-	start  int
-	height int64
-}
-
-type winSearcher struct {
-	in         *Instance
-	ctx        context.Context
-	maxNodes   int64
-	nodes      int64
-	exhausted  bool
-	cancelled  error
-	bestWeight int64
-	bestPlaced []winPlace
-	placed     []winPlace
-	rects      []winRect
-	cand       []int64 // reused candidate-height buffer (arena-backed in SolveExactCtx)
-	order      []int   // reused greedy-seed ordering buffer
-}
-
-func (s *winSearcher) run() {
-	n := len(s.in.Tasks)
-	s.placed = make([]winPlace, n)
-	s.bestPlaced = make([]winPlace, n)
-	s.greedySeed()
-	full := uint64(0)
-	for i := 0; i < n; i++ {
-		full |= 1 << uint(i)
-	}
-	s.rec(full, 0)
-}
-
-// lowestSlot returns the lowest feasible height for task ti at offset
-// start, or -1.
-func (s *winSearcher) lowestSlot(ti, start int) int64 {
-	t := s.in.Tasks[ti]
-	end := start + t.Length
-	// Capacity ceiling over the chosen interval.
-	ceiling := s.in.Capacity[start]
-	for e := start + 1; e < end; e++ {
-		if s.in.Capacity[e] < ceiling {
-			ceiling = s.in.Capacity[e]
-		}
-	}
-	// Candidate heights: 0 plus the top of every overlapping rectangle,
-	// collected into the searcher's reused buffer and insertion-sorted in
-	// place. This is the B&B hot spot — the old per-call slice literal and
-	// sort.Slice closure allocated on every node.
-	cand := append(s.cand[:0], 0)
-	for _, r := range s.rects {
-		if r.start < end && start < r.end {
-			cand = append(cand, r.top)
-		}
-	}
-	s.cand = cand
-	for i := 1; i < len(cand); i++ {
-		v := cand[i]
-		j := i - 1
-		for j >= 0 && cand[j] > v {
-			cand[j+1] = cand[j]
-			j--
-		}
-		cand[j+1] = v
-	}
-	for _, h := range cand {
-		if h+t.Demand > ceiling {
-			continue
-		}
-		ok := true
-		for _, r := range s.rects {
-			if r.start < end && start < r.end && h < r.top && r.bottom < h+t.Demand {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return h
-		}
-	}
-	return -1
-}
-
-func (s *winSearcher) greedySeed() {
-	n := len(s.in.Tasks)
-	order := s.order
-	if order == nil {
-		order = make([]int, n)
-	}
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return s.in.Tasks[order[a]].Weight > s.in.Tasks[order[b]].Weight })
-	var w int64
-	for _, ti := range order {
-		t := s.in.Tasks[ti]
-		bestH := int64(-1)
-		bestStart := -1
-		for start := t.Release; start+t.Length <= t.Deadline; start++ {
-			if h := s.lowestSlot(ti, start); h >= 0 && (bestH < 0 || h < bestH) {
-				bestH, bestStart = h, start
-			}
-		}
-		if bestH >= 0 {
-			s.rects = append(s.rects, winRect{start: bestStart, end: bestStart + t.Length, bottom: bestH, top: bestH + t.Demand})
-			s.placed[ti] = winPlace{used: true, start: bestStart, height: bestH}
-			w += t.Weight
-		}
-	}
-	s.bestWeight = w
-	copy(s.bestPlaced, s.placed)
-	// Reset working state.
-	s.rects = s.rects[:0]
-	for i := range s.placed {
-		s.placed[i] = winPlace{}
-	}
-}
-
-func (s *winSearcher) rec(remaining uint64, cur int64) {
-	if s.cancelled != nil {
-		return
-	}
-	s.nodes++
-	if s.nodes > s.maxNodes {
-		s.exhausted = true
-		return
-	}
-	if s.nodes&cancelMask == 0 {
-		faultinject.Fire(s.ctx, "window/solve")
-		if err := saperr.FromContext(s.ctx); err != nil {
-			s.cancelled = err
-			return
-		}
-	}
-	if cur > s.bestWeight {
-		s.bestWeight = cur
-		copy(s.bestPlaced, s.placed)
-	}
-	var rem int64
-	for m := remaining; m != 0; m &= m - 1 {
-		rem += s.in.Tasks[tz(m)].Weight
-	}
-	if cur+rem <= s.bestWeight {
-		return
-	}
-	for m := remaining; m != 0; m &= m - 1 {
-		ti := tz(m)
-		if s.exhausted || s.cancelled != nil {
-			return
-		}
-		t := s.in.Tasks[ti]
-		anyOffset := false
-		for start := t.Release; start+t.Length <= t.Deadline; start++ {
-			h := s.lowestSlot(ti, start)
-			if h < 0 {
-				continue
-			}
-			anyOffset = true
-			s.placed[ti] = winPlace{used: true, start: start, height: h}
-			s.rects = append(s.rects, winRect{start: start, end: start + t.Length, bottom: h, top: h + t.Demand})
-			s.rec(remaining&^(1<<uint(ti)), cur+t.Weight)
-			s.rects = s.rects[:len(s.rects)-1]
-			s.placed[ti] = winPlace{}
-		}
-		if !anyOffset {
-			// No offset can ever work deeper in this branch: drop the task.
-			remaining &^= 1 << uint(ti)
-			rem -= t.Weight
-			if cur+rem <= s.bestWeight {
-				return
-			}
-		}
-	}
-}
-
-func tz(m uint64) int { return bits.TrailingZeros64(m) }
 
 // Greedy schedules tasks in decreasing weight/demand·length density,
 // choosing for each the offset with the lowest feasible height. It is the
-// heuristic arm for large windowed instances.
+// heuristic arm for windowed instances past the exact search's limits.
 func Greedy(in *Instance) *Solution {
 	order := make([]int, len(in.Tasks))
 	for i := range order {
@@ -297,22 +129,46 @@ func Greedy(in *Instance) *Solution {
 		}
 		return ta.ID < tb.ID
 	})
-	s := &winSearcher{in: in, rects: make([]winRect, 0, len(in.Tasks))}
 	sol := &Solution{}
 	for _, ti := range order {
 		t := in.Tasks[ti]
-		bestH := int64(-1)
-		bestStart := -1
-		for start := t.Release; start+t.Length <= t.Deadline; start++ {
-			if h := s.lowestSlot(ti, start); h >= 0 && (bestH < 0 || h < bestH) {
-				bestH, bestStart = h, start
+		best := Placement{Task: t, Height: -1}
+		for k := 0; k < t.Offsets(); k++ {
+			if h := lowestSlot(in, sol.Items, t, t.Release+k); h >= 0 && (best.Height < 0 || h < best.Height) {
+				best.Start, best.Height = t.Release+k, h
 			}
 		}
-		if bestH < 0 {
-			continue
+		if best.Height >= 0 {
+			sol.Items = append(sol.Items, best)
 		}
-		s.rects = append(s.rects, winRect{start: bestStart, end: bestStart + t.Length, bottom: bestH, top: bestH + t.Demand})
-		sol.Items = append(sol.Items, Placement{Task: t, Start: bestStart, Height: bestH})
 	}
 	return sol
+}
+
+// lowestSlot returns the lowest height at which t fits on the interval
+// starting at start, under the capacity there and clear of every placement
+// it overlaps, or -1 when it fits nowhere. The lowest such height is 0 or
+// the top of one of those placements.
+func lowestSlot(in *Instance, placed []Placement, t Task, start int) int64 {
+	end := start + t.Length
+	ceiling := slices.Min(in.Capacity[start:end])
+	best := int64(-1)
+	try := func(h int64) {
+		if h+t.Demand > ceiling || (best >= 0 && h >= best) {
+			return
+		}
+		for _, p := range placed {
+			if p.Start < end && start < p.End() && h < p.Top() && p.Height < h+t.Demand {
+				return
+			}
+		}
+		best = h
+	}
+	try(0)
+	for _, p := range placed {
+		if p.Start < end && start < p.End() {
+			try(p.Top())
+		}
+	}
+	return best
 }

@@ -6,11 +6,13 @@
 // task, both a start offset and a height; with Release+Length = Deadline
 // the problem degenerates to plain SAP.
 //
-// The package provides an exact branch-and-bound (the grounded-solution
-// exchange argument of Observation 11 extends verbatim when the branching
-// enumerates (task, offset) pairs and always places at the lowest feasible
-// slot for the chosen offset) and a density-greedy heuristic, plus the
-// experiment E23 material: how window slack buys admitted weight.
+// The package provides an exact solver, which hands every start offset to
+// exact's branch-and-bound as one placement choice of the task (the
+// grounded-solution exchange argument of Observation 11 extends verbatim
+// when the branching enumerates (task, offset) pairs and always places at
+// the lowest feasible slot for the chosen offset), and a density-greedy
+// heuristic, plus the experiment E23 material: how window slack buys
+// admitted weight.
 package window
 
 import (
@@ -52,7 +54,8 @@ func (in *Instance) Validate() error {
 	}
 	seen := map[int]bool{}
 	for i, t := range in.Tasks {
-		if t.Release < 0 || t.Deadline > m || t.Length < 1 || t.Release+t.Length > t.Deadline {
+		if t.Release < 0 || t.Deadline > m || t.Deadline < t.Release ||
+			t.Length < 1 || t.Length > t.Deadline-t.Release {
 			return fmt.Errorf("task %d (id %d): window [%d,%d) cannot hold length %d", i, t.ID, t.Release, t.Deadline, t.Length)
 		}
 		if t.Demand <= 0 {

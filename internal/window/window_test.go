@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -45,9 +47,24 @@ func TestValidateAndOffsets(t *testing.T) {
 	if in.Tasks[0].Offsets() != 2 {
 		t.Errorf("offsets = %d, want 2", in.Tasks[0].Offsets())
 	}
-	bad := &Instance{Capacity: []int64{4}, Tasks: []Task{{ID: 0, Release: 0, Deadline: 1, Length: 2, Demand: 1, Weight: 1}}}
-	if err := bad.Validate(); err == nil {
-		t.Errorf("window too small accepted")
+	for _, bad := range []struct {
+		name string
+		task Task
+	}{
+		{"window too small", Task{ID: 0, Release: 0, Deadline: 1, Length: 2, Demand: 1, Weight: 1}},
+		// Release+Length overflows int64 and wraps below Deadline, so a
+		// check that adds them accepts a negative offset count.
+		{"length overflows the window end", Task{ID: 0, Release: 1, Deadline: 2, Length: math.MaxInt64, Demand: 1, Weight: 1}},
+		{"deadline far below release", Task{ID: 0, Release: 1, Deadline: math.MinInt64, Length: 1, Demand: 1, Weight: 1}},
+	} {
+		in := &Instance{Capacity: []int64{4, 4, 4}, Tasks: []Task{bad.task}}
+		if err := in.Validate(); err == nil {
+			t.Errorf("%s: accepted with %d offsets", bad.name, bad.task.Offsets())
+		}
+	}
+	doc := `{"kind":"window","capacity":[4,4,4],"tasks":[{"id":0,"release":1,"deadline":2,"length":9223372036854775807,"demand":1,"weight":1}]}`
+	if _, err := ReadJSON(strings.NewReader(doc)); err == nil {
+		t.Errorf("ReadJSON accepted a length that overflows the window end")
 	}
 }
 
@@ -223,6 +240,27 @@ func TestSolveExactTooLargeAndBudget(t *testing.T) {
 	}
 	if err := Valid(big, sol); err != nil {
 		t.Errorf("budget incumbent infeasible: %v", err)
+	}
+}
+
+// The overlap table of the exact search is quadratic in the number of
+// start offsets, so past exact.MaxChoices the instance is rejected even
+// with few tasks; sapsolve then falls back to Greedy.
+func TestSolveExactTooManyOffsets(t *testing.T) {
+	in := &Instance{Capacity: make([]int64, exact.MaxChoices/2+1)}
+	for e := range in.Capacity {
+		in.Capacity[e] = 4
+	}
+	for i := 0; i < 2; i++ {
+		in.Tasks = append(in.Tasks, Task{ID: i, Release: 0, Deadline: in.Edges(), Length: 1, Demand: 1, Weight: 1})
+	}
+	if _, err := SolveExact(in, Options{}); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("%d start offsets: want ErrTooLarge, got %v", 2*in.Edges(), err)
+	}
+	in.Tasks = in.Tasks[:1]
+	sol, err := SolveExact(in, Options{})
+	if err != nil || sol.Weight() != 1 {
+		t.Fatalf("%d start offsets: weight %d, err %v", in.Edges(), sol.Weight(), err)
 	}
 }
 
