@@ -97,8 +97,9 @@ type searcher struct {
 	bestChoice  []int   // per item, the choice bestHeights[i] was taken on
 	nodes       int64
 	maxNodes    int64
+	deadline    time.Time // zero = none
 	exhausted   bool
-	cancelled   bool
+	stopped     error // why the search was cut short: the context's error or the deadline
 
 	placed []rect // placement stack, cap len(items)
 	below  []rect // lowestSlot's sort buffer, cap len(items)
@@ -219,15 +220,14 @@ func (s *searcher) record(placed []rect) {
 // cur the committed weight.
 func (s *searcher) rec(remaining uint64, placed []rect, cur int64) {
 	s.nodes++
-	// Masked cooperative check: a context poll every 1024 nodes keeps the
-	// per-node cost negligible while bounding cancellation latency.
+	// Masked cooperative check: a context and deadline poll every 1024
+	// nodes keeps the per-node cost negligible while bounding cancellation
+	// latency.
 	if s.nodes&1023 == 0 && s.ctx != nil {
 		faultinject.Fire(s.ctx, "exact/sap/node")
-		if s.ctx.Err() != nil {
-			s.cancelled = true
-		}
+		s.stopped = poll(s.ctx, s.deadline)
 	}
-	if s.cancelled {
+	if s.stopped != nil {
 		return
 	}
 	if s.maxNodes > 0 && s.nodes > s.maxNodes {
@@ -251,7 +251,7 @@ func (s *searcher) rec(remaining uint64, placed []rect, cur int64) {
 	// argument makes this complete for every assignment of choices.
 	for m := remaining; m != 0; m &= m - 1 {
 		j := bits.TrailingZeros64(m)
-		if s.exhausted || s.cancelled {
+		if s.exhausted || s.stopped != nil {
 			return
 		}
 		it := s.items[j]
@@ -279,8 +279,8 @@ func (s *searcher) rec(remaining uint64, placed []rect, cur int64) {
 
 // err reports how the search ended: cancelled, out of budget, or proved.
 func (s *searcher) err() error {
-	if s.cancelled {
-		return saperr.Cancelled(s.ctx.Err())
+	if s.stopped != nil {
+		return saperr.Cancelled(s.stopped)
 	}
 	if s.exhausted {
 		return ErrBudget
@@ -294,8 +294,9 @@ type Options struct {
 	MaxNodes int64
 	// Deadline, when positive, bounds the wall clock of a single call; on
 	// expiry the search stops and the incumbent is returned with a typed
-	// cancelled error (mirroring the ErrBudget contract). Callers that
-	// slice a larger budget across class solves set this per call.
+	// cancelled error wrapping context.DeadlineExceeded (mirroring the
+	// ErrBudget contract). Callers that slice a larger budget across class
+	// solves set this per call.
 	Deadline time.Duration
 }
 
@@ -304,6 +305,29 @@ func (o Options) withDefaults() Options {
 		o.MaxNodes = 50_000_000
 	}
 	return o
+}
+
+// deadline returns the instant a call that starts now must stop at, or the
+// zero time when Deadline is unset. The searches compare it against the
+// clock at their periodic poll, which costs no timer and no derived
+// context.
+func (o Options) deadline() time.Time {
+	if o.Deadline <= 0 {
+		return time.Time{}
+	}
+	return time.Now().Add(o.Deadline)
+}
+
+// poll reports why a search must stop: ctx's error, or
+// context.DeadlineExceeded once the deadline (zero = none) has passed.
+func poll(ctx context.Context, deadline time.Time) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if !deadline.IsZero() && !time.Now().Before(deadline) {
+		return context.DeadlineExceeded
+	}
+	return nil
 }
 
 // SolveSAP computes an optimal SAP solution by branch and bound. Instances
@@ -336,11 +360,7 @@ func SolveSAPCtx(ctx context.Context, in *model.Instance, opts Options) (*model.
 // MaxChoices alternatives in total are rejected with ErrTooLarge.
 func SolveChoicesCtx(ctx context.Context, capacity []int64, alts [][]model.Task, opts Options) (*model.Solution, error) {
 	opts = opts.withDefaults()
-	if opts.Deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, opts.Deadline)
-		defer cancel()
-	}
+	deadline := opts.deadline()
 	n, nc := len(alts), 0
 	for _, g := range alts {
 		nc += len(g)
@@ -373,6 +393,7 @@ func SolveChoicesCtx(ctx context.Context, capacity []int64, alts [][]model.Task,
 		}
 	}
 	s := newSearcher(ctx, items, choices, opts.MaxNodes, a)
+	s.deadline = deadline
 	s.run()
 	sol := &model.Solution{Items: make([]model.Placement, 0, n)}
 	for i, h := range s.bestHeights {
@@ -397,11 +418,7 @@ func SolveUFPP(in *model.Instance, opts Options) ([]model.Task, error) {
 // task set is returned with an error wrapping saperr.ErrCancelled.
 func SolveUFPPCtx(ctx context.Context, in *model.Instance, opts Options) ([]model.Task, error) {
 	opts = opts.withDefaults()
-	if opts.Deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, opts.Deadline)
-		defer cancel()
-	}
+	deadline := opts.deadline()
 	n := len(in.Tasks)
 	if n > MaxTasks {
 		return nil, fmt.Errorf("%w: %d tasks (max %d)", ErrTooLarge, n, MaxTasks)
@@ -426,17 +443,15 @@ func SolveUFPPCtx(ctx context.Context, in *model.Instance, opts Options) ([]mode
 	var best int64 = -1
 	var nodes int64
 	exhausted := false
-	cancelled := false
+	var stopped error
 	var rec func(k int, cur int64)
 	rec = func(k int, cur int64) {
 		nodes++
 		if nodes&1023 == 0 {
 			faultinject.Fire(ctx, "exact/ufpp/node")
-			if ctx.Err() != nil {
-				cancelled = true
-			}
+			stopped = poll(ctx, deadline)
 		}
-		if cancelled {
+		if stopped != nil {
 			return
 		}
 		if nodes > opts.MaxNodes {
@@ -469,7 +484,7 @@ func SolveUFPPCtx(ctx context.Context, in *model.Instance, opts Options) ([]mode
 				load[e] -= t.Demand
 			}
 		}
-		if exhausted || cancelled {
+		if exhausted || stopped != nil {
 			return
 		}
 		rec(k+1, cur)
@@ -481,8 +496,8 @@ func SolveUFPPCtx(ctx context.Context, in *model.Instance, opts Options) ([]mode
 			out = append(out, in.Tasks[i])
 		}
 	}
-	if cancelled {
-		return out, saperr.Cancelled(ctx.Err())
+	if stopped != nil {
+		return out, saperr.Cancelled(stopped)
 	}
 	if exhausted {
 		return out, ErrBudget
@@ -504,11 +519,7 @@ func SolveRingSAP(r *model.RingInstance, opts Options) (*model.RingSolution, err
 // saperr.ErrCancelled.
 func SolveRingSAPCtx(ctx context.Context, r *model.RingInstance, opts Options) (*model.RingSolution, error) {
 	opts = opts.withDefaults()
-	if opts.Deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, opts.Deadline)
-		defer cancel()
-	}
+	deadline := opts.deadline()
 	n := len(r.Tasks)
 	if n > MaxTasks {
 		return nil, fmt.Errorf("%w: %d ring tasks (max %d)", ErrTooLarge, n, MaxTasks)
@@ -517,6 +528,7 @@ func SolveRingSAPCtx(ctx context.Context, r *model.RingInstance, opts Options) (
 	defer release()
 	items, choices := ringChoices(r, a)
 	s := newSearcher(ctx, items, choices, opts.MaxNodes, a)
+	s.deadline = deadline
 	s.run()
 	sol := &model.RingSolution{}
 	for i, h := range s.bestHeights {

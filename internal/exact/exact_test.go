@@ -5,9 +5,11 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
+	"time"
 
 	"sapalloc/internal/gen"
 	"sapalloc/internal/model"
+	"sapalloc/internal/saperr"
 	"sapalloc/internal/scratch"
 )
 
@@ -161,6 +163,38 @@ func TestSolveSAPBudget(t *testing.T) {
 	// Incumbent must still be feasible (greedy seed).
 	if err := model.ValidSAP(in, sol); err != nil {
 		t.Errorf("budget incumbent infeasible: %v", err)
+	}
+}
+
+// Options.Deadline stops a search that the default node budget would let
+// run for seconds. The incumbent comes back feasible, with a cancellation
+// error that carries the deadline as its cause.
+func TestSolveDeadline(t *testing.T) {
+	const deadline = 5 * time.Millisecond
+	checkErr := func(name string, err error, elapsed time.Duration) {
+		t.Helper()
+		if !saperr.IsCancelled(err) || !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("%s: want a cancellation caused by the deadline, got %v", name, err)
+		}
+		if elapsed > time.Second {
+			t.Errorf("%s: returned after %v under a %v deadline", name, elapsed, deadline)
+		}
+	}
+
+	in := gen.Random(gen.Config{Seed: 1, Edges: 10, Tasks: 20, Class: gen.Medium})
+	start := time.Now()
+	sol, err := SolveSAP(in, Options{Deadline: deadline})
+	checkErr("SolveSAP", err, time.Since(start))
+	if err := model.ValidSAP(in, sol); err != nil || len(sol.Items) == 0 {
+		t.Errorf("SolveSAP: incumbent %v infeasible or empty: %v", sol, err)
+	}
+
+	ring := gen.Ring(1, 16, 20, 16, 64)
+	start = time.Now()
+	rsol, err := SolveRingSAP(ring, Options{Deadline: deadline})
+	checkErr("SolveRingSAP", err, time.Since(start))
+	if err := model.ValidRingSAP(ring, rsol); err != nil || len(rsol.Items) == 0 {
+		t.Errorf("SolveRingSAP: incumbent %v infeasible or empty: %v", rsol, err)
 	}
 }
 

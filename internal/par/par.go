@@ -1,6 +1,6 @@
 // Package par provides the small deterministic-parallelism substrate used
 // across the library: fork-join loops over independent work items (class
-// solves, rounding trials, ring arms, experiment runners) with
+// solves, ring arms, experiment runners) with
 // first-error capture, cooperative cancellation, and panic propagation.
 // Results are written into caller-owned slots indexed by item, so the
 // output is identical to the sequential execution regardless of scheduling.

@@ -18,7 +18,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
+	"math/bits"
+	"math/rand/v2"
 	"slices"
 	"sort"
 
@@ -26,8 +27,6 @@ import (
 	"sapalloc/internal/intervals"
 	"sapalloc/internal/lp"
 	"sapalloc/internal/model"
-	"sapalloc/internal/par"
-	"sapalloc/internal/saperr"
 	"sapalloc/internal/scratch"
 )
 
@@ -39,12 +38,9 @@ type RoundOptions struct {
 	// Trials is the number of independent rounding trials; the heaviest
 	// repaired sample wins. Zero means 8.
 	Trials int
-	// Seed seeds the sampling RNG (deterministic for a fixed seed; each
-	// trial derives its own generator from Seed+trial, so results do not
-	// depend on scheduling).
+	// Seed seeds the sampling: trial k draws from the PCG stream seeded
+	// with (Seed, k), so every trial is a pure function of Seed and k.
 	Seed int64
-	// Workers bounds concurrent rounding trials (0 ⇒ GOMAXPROCS).
-	Workers int
 }
 
 func (o RoundOptions) withDefaults() RoundOptions {
@@ -71,7 +67,9 @@ func HalfPackable(in *model.Instance, b int64, opts RoundOptions) ([]model.Task,
 }
 
 // HalfPackableCtx is HalfPackable under a context: the LP solve and the
-// rounding trials all honour cancellation.
+// rounding trials honour cancellation. A call cancelled during the trials
+// returns the LP-density greedy candidate, which is already feasible and
+// half-packable, with no error.
 func HalfPackableCtx(ctx context.Context, in *model.Instance, b int64, opts RoundOptions) ([]model.Task, float64, error) {
 	opts = opts.withDefaults()
 	if len(in.Tasks) == 0 {
@@ -82,41 +80,59 @@ func HalfPackableCtx(ctx context.Context, in *model.Instance, b int64, opts Roun
 	if err != nil {
 		return nil, 0, fmt.Errorf("half-packable rounding: %w", err)
 	}
-	budget := b / 2
-	scaled := make([]float64, len(x))
 	for j := range x {
-		scaled[j] = x[j] / 4
+		x[j] /= 4 // x is the LP solver's fresh slice: scale it in place
 	}
+	budget := b / 2
 
-	best := greedyByLPDensity(ctx, in, scaled, budget)
-	bestW := model.WeightOf(best)
-
-	// Independent rounding trials, each with its own deterministic RNG, run
-	// concurrently and merged in trial order.
-	trials, err := par.MapCtx(ctx, opts.Trials, opts.Workers, func(trial int) ([]model.Task, error) {
-		rng := rand.New(rand.NewSource(opts.Seed + int64(trial)))
-		var sample []model.Task
-		for j, t := range in.Tasks {
-			if rng.Float64() < (1-opts.Eps)*scaled[j] {
-				sample = append(sample, t)
-			}
+	greedy := greedyByLPDensity(ctx, in, x, budget)
+	best, bestW := greedy, model.WeightOf(greedy)
+	r := newRounder(in, x, budget, opts)
+	for trial := 0; trial < opts.Trials; trial++ {
+		if ctx.Err() != nil {
+			return greedy, lpOpt, nil
 		}
-		return evictToBudget(in, sample, budget), nil
-	})
-	if err != nil {
-		if saperr.IsCancelled(err) {
-			// Anytime degradation: the deterministic greedy candidate is
-			// already feasible and half-packable; skip the lost trials.
-			return best, lpOpt, nil
-		}
-		return nil, 0, err
-	}
-	for _, repaired := range trials {
-		if w := model.WeightOf(repaired); w > bestW {
-			best, bestW = repaired, w
+		kept := r.trial(trial)
+		if w := model.WeightOf(kept); w > bestW {
+			best, bestW = slices.Clone(kept), w
 		}
 	}
 	return best, lpOpt, nil
+}
+
+// rounder runs the randomized rounding trials of one HalfPackable call. The
+// trials run one after another and share its buffers; a trial's repaired
+// sample lives in them until the next trial starts.
+type rounder struct {
+	in     *model.Instance
+	x      []float64 // the LP solution scaled by 1/4
+	budget int64
+	opts   RoundOptions
+	src    rand.PCG
+	rng    *rand.Rand   // draws from src
+	sample []model.Task // the trial's sample, repaired in place
+	load   []int64      // per-edge load of the sample
+}
+
+func newRounder(in *model.Instance, x []float64, budget int64, opts RoundOptions) *rounder {
+	r := &rounder{in: in, x: x, budget: budget, opts: opts,
+		sample: make([]model.Task, 0, len(in.Tasks)), load: make([]int64, in.Edges())}
+	r.rng = rand.New(&r.src)
+	return r
+}
+
+// trial samples each task with probability (1−Eps)·x′_j from the (Seed,
+// trial) PCG stream and evicts until the sample fits the budget. The result
+// aliases r's buffers.
+func (r *rounder) trial(trial int) []model.Task {
+	r.src.Seed(uint64(r.opts.Seed), uint64(trial))
+	r.sample = r.sample[:0]
+	for j, t := range r.in.Tasks {
+		if r.rng.Float64() < (1-r.opts.Eps)*r.x[j] {
+			r.sample = append(r.sample, t)
+		}
+	}
+	return evictToBudget(r.sample, r.load, r.budget)
 }
 
 // greedyByLPDensity adds tasks in decreasing w_j·x_j/d_j order while the
@@ -157,51 +173,53 @@ func greedyByLPDensity(ctx context.Context, in *model.Instance, x []float64, bud
 	return out
 }
 
-// evictToBudget removes tasks (lowest weight/demand first) until the load is
-// within budget on every edge.
-func evictToBudget(in *model.Instance, tasks []model.Task, budget int64) []model.Task {
-	kept := append([]model.Task(nil), tasks...)
-	sort.Slice(kept, func(i, j int) bool {
-		// ascending density; evict from the front on violation.
-		li := kept[i].Weight * kept[j].Demand
-		lj := kept[j].Weight * kept[i].Demand
-		if li != lj {
-			return li < lj
+// evictToBudget sorts kept by ascending weight/demand density and evicts
+// from the front (the least dense task on an overloaded edge first) until
+// the load is within budget on every edge. It works in place: the result is
+// a prefix-compacted kept, and load, which must span the path, is
+// overwritten.
+func evictToBudget(kept []model.Task, load []int64, budget int64) []model.Task {
+	slices.SortFunc(kept, byDensity)
+	clear(load)
+	for _, t := range kept {
+		for e := t.Start; e < t.End; e++ {
+			load[e] += t.Demand
 		}
-		return kept[i].ID < kept[j].ID
-	})
-	load := in.Load(kept)
-	over := func() int {
-		for e, l := range load {
-			if l > budget {
-				return e
-			}
-		}
-		return -1
 	}
-	for {
-		e := over()
-		if e < 0 {
-			break
+	for e := 0; e < len(load); {
+		if load[e] <= budget {
+			e++
+			continue
 		}
 		// Evict the least dense task using edge e.
-		victim := -1
-		for i, t := range kept {
-			if t.Uses(e) {
-				victim = i
-				break
-			}
-		}
+		victim := slices.IndexFunc(kept, func(t model.Task) bool { return t.Uses(e) })
 		if victim < 0 {
-			break // cannot happen: positive load implies a user
+			break // only for a negative budget: no eviction can help
 		}
 		t := kept[victim]
 		for f := t.Start; f < t.End; f++ {
 			load[f] -= t.Demand
 		}
-		kept = append(kept[:victim], kept[victim+1:]...)
+		kept = slices.Delete(kept, victim, victim+1)
 	}
 	return kept
+}
+
+// byDensity orders tasks by ascending Weight/Demand, then by ID. It
+// compares the cross products Weight·Demand exactly in 128 bits: each
+// factor may reach model.MaxMagnitude = 2^40, so a product overflows int64.
+// Weights are non-negative and demands positive, so the unsigned products
+// are the true ones.
+func byDensity(p, q model.Task) int {
+	phi, plo := bits.Mul64(uint64(p.Weight), uint64(q.Demand))
+	qhi, qlo := bits.Mul64(uint64(q.Weight), uint64(p.Demand))
+	if c := cmp.Compare(phi, qhi); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(plo, qlo); c != 0 {
+		return c
+	}
+	return cmp.Compare(p.ID, q.ID)
 }
 
 // LocalRatioStrip is Algorithm Strip from the paper's appendix: a local

@@ -1,10 +1,15 @@
 package ufpp
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
+	"sapalloc/internal/gen"
+	"sapalloc/internal/lp"
 	"sapalloc/internal/model"
+	"sapalloc/internal/scratch"
 )
 
 // smallBandInstance builds a random δ-small instance with capacities in
@@ -245,7 +250,7 @@ func TestEvictToBudget(t *testing.T) {
 			{ID: 2, Start: 0, End: 1, Demand: 4, Weight: 20}, // density 5
 		},
 	}
-	kept := evictToBudget(in, in.Tasks, 8)
+	kept := evictToBudget(append([]model.Task(nil), in.Tasks...), make([]int64, in.Edges()), 8)
 	if len(kept) != 2 {
 		t.Fatalf("kept %d tasks, want 2", len(kept))
 	}
@@ -253,5 +258,118 @@ func TestEvictToBudget(t *testing.T) {
 		if k.ID == 0 {
 			t.Errorf("least dense task survived eviction")
 		}
+	}
+}
+
+// The density order compares Weight·Demand cross products, which overflow
+// int64 at the magnitudes Validate admits (2^40 · 2^36 = 2^76). The heavy
+// task is the denser one and must survive.
+func TestEvictToBudgetHugeMagnitudes(t *testing.T) {
+	in := &model.Instance{
+		Capacity: []int64{1 << 37},
+		Tasks: []model.Task{
+			{ID: 0, Start: 0, End: 1, Demand: 1 << 36, Weight: 1 << 40},
+			{ID: 1, Start: 0, End: 1, Demand: 1 << 36, Weight: 1},
+		},
+	}
+	if err := in.Validate(); err != nil {
+		t.Fatalf("instance: %v", err)
+	}
+	kept := evictToBudget(append([]model.Task(nil), in.Tasks...), make([]int64, in.Edges()), 1<<36)
+	if len(kept) != 1 || kept[0].ID != 0 {
+		t.Errorf("kept %v, want only the weight-2^40 task", kept)
+	}
+}
+
+// The trials compete with the LP-density greedy, which wins on the inputs
+// the golden tests pin, so a trial's own output is checked here. For every
+// trial stream, the repaired sample is a set of the class's tasks and fits
+// the budget on every edge. On these few-task classes with demands up to
+// B/2 a trial beats the greedy now and then, and HalfPackable must return
+// the heaviest candidate intact, although the trials after it reuse its
+// buffers.
+func TestRoundingTrialRepairs(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	evicted, lateWins, varied := 0, 0, 0
+	for c := 0; c < 200; c++ {
+		b := int64(64)
+		in := smallBandInstance(r, 2+r.Intn(6), 4+r.Intn(8), b, 2)
+		x, _, err := lp.UFPPFractional(in)
+		if err != nil {
+			t.Fatalf("class %d: %v", c, err)
+		}
+		for j := range x {
+			x[j] /= 4
+		}
+		opts := RoundOptions{Seed: int64(c)}.withDefaults()
+		want := model.WeightOf(greedyByLPDensity(context.Background(), in, x, b/2))
+		winner := -1
+		samples := map[string]bool{}
+		ro := newRounder(in, x, b/2, opts)
+		for trial := 0; trial < 64; trial++ {
+			kept := ro.trial(trial)
+			evicted += len(ro.sample) - len(kept)
+			samples[fmt.Sprint(kept)] = true
+			seen := map[int]bool{}
+			for _, k := range kept {
+				if seen[k.ID] || k != in.Tasks[k.ID] {
+					t.Fatalf("class %d trial %d: %v is not a distinct task of the class", c, trial, k)
+				}
+				seen[k.ID] = true
+			}
+			if got := maxLoadOf(in, kept); got > b/2 {
+				t.Fatalf("class %d trial %d: load %d exceeds budget %d", c, trial, got, b/2)
+			}
+			if w := model.WeightOf(kept); trial < opts.Trials && w > want {
+				want, winner = w, trial
+			}
+		}
+		if winner >= 0 && winner < opts.Trials-1 {
+			lateWins++
+		}
+		if len(samples) > 1 {
+			varied++
+		}
+		sol, _, err := HalfPackable(in, b, opts)
+		if err != nil {
+			t.Fatalf("class %d: %v", c, err)
+		}
+		if err := model.ValidUFPP(in, sol); err != nil || maxLoadOf(in, sol) > b/2 || model.WeightOf(sol) != want {
+			t.Fatalf("class %d: HalfPackable returned %v (weight %d), want the best candidate's weight %d within budget %d: %v",
+				c, sol, model.WeightOf(sol), want, b/2, err)
+		}
+	}
+	if evicted == 0 || lateWins == 0 {
+		t.Errorf("%d evictions, %d classes won by a trial before the last: the repair or the best-of went untested", evicted, lateWins)
+	}
+	if varied == 0 {
+		t.Errorf("every class drew the same sample in all 64 trials: the trial streams do not depend on the trial")
+	}
+	t.Logf("%d tasks evicted over 200×64 trials; %d classes won by a trial before the last; %d classes drew different samples", evicted, lateWins, varied)
+}
+
+// TestAllocsHalfPackable pins the allocations of one Strip-Pack class
+// rounding: the LP solve, the greedy and eight trials that share their
+// sample and load buffers.
+func TestAllocsHalfPackable(t *testing.T) {
+	if scratch.RaceEnabled {
+		t.Skip("alloc counts are inflated under -race")
+	}
+	in := gen.Random(gen.Config{Seed: 4, Edges: 16, Tasks: 40, CapLo: 512, CapHi: 513, Class: gen.Small})
+	a := scratch.Get()
+	defer scratch.Put(a)
+	ctx := scratch.With(context.Background(), a)
+	f := func() {
+		a.Reset()
+		if _, _, err := HalfPackableCtx(ctx, in, 512, RoundOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f() // warm the arena
+	const budget = 70
+	got := testing.AllocsPerRun(20, f)
+	t.Logf("HalfPackableCtx: %.1f allocs/op (budget %d)", got, budget)
+	if got > budget {
+		t.Errorf("HalfPackableCtx: %.1f allocs/op exceeds budget %d", got, budget)
 	}
 }
