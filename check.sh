@@ -73,6 +73,7 @@ if [ "$1" = "fuzz" ]; then
     go test -run '^$' -fuzz '^FuzzSolveSmallSAP$' -fuzztime "$fuzztime" ./internal/smallsap/
     go test -run '^$' -fuzz '^FuzzCoreSolve$' -fuzztime "$fuzztime" ./internal/core/
     go test -run '^$' -fuzz '^FuzzScratchReuse$' -fuzztime "$fuzztime" ./internal/exact/
+    go test -run '^$' -fuzz '^FuzzLevels$' -fuzztime "$fuzztime" ./internal/exact/
     go test -run '^$' -fuzz '^FuzzValidateHardened$' -fuzztime "$fuzztime" ./internal/model/
     go test -run '^$' -fuzz '^FuzzReadInstanceJSON$' -fuzztime "$fuzztime" ./internal/model/
     go test -run '^$' -fuzz '^FuzzReadSolutionJSON$' -fuzztime "$fuzztime" ./internal/model/

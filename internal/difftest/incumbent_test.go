@@ -29,6 +29,7 @@ func TestIncumbentGolden(t *testing.T) {
 		wantSAP    = "222505d6dea66f69c2043c62f0574faecd6e95047ac26da9c11e78b4f36455ca"
 		wantWindow = "7df2a7bbb5a007a46b4deb209a3577a3adf3f0aaebd583bac5a4b41dc7bda514"
 		wantMedium = "6a1d6ab66a76aabd37865791dd973b1b5c1757dfaf6a3775408318a0548f8edd"
+		wantRing   = "e268c89a6ae2fb3a7931d94e18212e146d51e919203ac557185e9bc92c0242b3"
 	)
 
 	h := sha256.New()
@@ -76,6 +77,25 @@ func TestIncumbentGolden(t *testing.T) {
 	fmt.Fprintf(h, "medium %d %v %v\n", res.Residue, res.Degraded, res.Classes)
 	hashPlacements(h, res.Solution.Items)
 	checkDigest(t, "mediumsap.SolveCtx", h, wantMedium)
+
+	// Rings are the searcher's two-choice case: each task branches on its
+	// orientation. Both budgets truncate most of these searches (26 and 22
+	// of the 30); the rest finish and are pinned as proven optima.
+	h = sha256.New()
+	for seed := int64(1); seed <= 30; seed++ {
+		ring := gen.Ring(seed, 8, 14, 8, 33)
+		for _, budget := range []int64{60, 4000} {
+			sol, err := exact.SolveRingSAP(ring, exact.Options{MaxNodes: budget})
+			if err != nil && !errors.Is(err, exact.ErrBudget) {
+				t.Fatalf("[replay: gen.Ring(%d, 8, 14, 8, 33)] MaxNodes %d: %v", seed, budget, err)
+			}
+			fmt.Fprintf(h, "ring %d %d %v\n", seed, budget, err)
+			for _, p := range sol.Items {
+				fmt.Fprintf(h, "%d %d %d %d %d %d %d\n", p.Task.ID, p.Task.Start, p.Task.End, p.Task.Demand, p.Task.Weight, p.Orientation, p.Height)
+			}
+		}
+	}
+	checkDigest(t, "exact.SolveRingSAP", h, wantRing)
 }
 
 func hashPlacements(h hash.Hash, items []model.Placement) {

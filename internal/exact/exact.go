@@ -19,6 +19,16 @@
 // a windowed task has one per start offset (SolveChoicesCtx, used by
 // package window). The exchange argument holds for every fixed assignment
 // of choices, so the search stays complete.
+//
+// The search keeps one level of state per depth d of the current branch:
+// its first d placements sorted by bottom, and for every choice of every
+// item still remaining that choice's lowest slot and a 64-bit mask of the
+// sorted placements sharing an edge with it. A node derives its level from
+// its parent's: the new placement gets a bit in every mask, and only the
+// slots whose gap it overlaps are re-swept, over their mask's bits. The
+// node order, the node count and every incumbent are those of recomputing
+// each slot from the whole placement stack, which the tests keep as the
+// reference.
 package exact
 
 import (
@@ -31,6 +41,7 @@ import (
 
 	"sapalloc/internal/faultinject"
 	"sapalloc/internal/model"
+	"sapalloc/internal/obs"
 	"sapalloc/internal/saperr"
 	"sapalloc/internal/scratch"
 )
@@ -83,6 +94,11 @@ type rect struct {
 	bottom, top  int64
 }
 
+// A level's overlap masks hold one bit per placement of the branch, so a
+// branch may be at most 64 placements deep (this fails to compile
+// otherwise).
+const _ uint = 64 - MaxTasks
+
 // searcher is the shared branch-and-bound core. All working buffers come
 // from a scratch.Arena owned by the enclosing solve, so steady-state
 // searches allocate nothing per node (and near-nothing per search).
@@ -101,8 +117,17 @@ type searcher struct {
 	exhausted   bool
 	stopped     error // why the search was cut short: the context's error or the deadline
 
-	placed []rect // placement stack, cap len(items)
-	below  []rect // lowestSlot's sort buffer, cap len(items)
+	placed []rect // the current branch's placements in placement order, len(items)
+
+	// The level tables. Level d, the state after placed[:d], sits at
+	// offset d·2n in sorted and d·nc in slot and mask. sorted holds its
+	// placements as (bottom, top) pairs in bottom order; slot[c] is choice
+	// c's lowest slot (-1 = fits nowhere) and bit i of mask[c] is set iff
+	// sorted placement i shares an edge with c. Only the choices of items
+	// remaining at a level are kept current there.
+	sorted []int64
+	slot   []int64
+	mask   []uint64
 }
 
 func newSearcher(ctx context.Context, items []item, choices []choice, maxNodes int64, a *scratch.Arena) *searcher {
@@ -119,43 +144,83 @@ func newSearcher(ctx context.Context, items []item, choices []choice, maxNodes i
 	}
 	s.bestHeights = a.Int64s(n)
 	s.bestChoice = a.Ints(n)
-	rects := make([]rect, 2*n)
-	s.placed, s.below = rects[:0:n], rects[n:n]
+	s.placed = make([]rect, n)
+	s.sorted = a.Int64s((n + 1) * 2 * n)
+	s.slot = a.Int64s((n + 1) * nc)
+	s.mask = a.Uint64s((n + 1) * nc)
+	// Level 0: nothing is placed, so every choice's slot is 0 if the item
+	// fits under the choice's ceiling at all.
+	for _, it := range items {
+		for c := it.first; c < it.end; c++ {
+			s.slot[c] = 0
+			if it.demand > choices[c].cap {
+				s.slot[c] = -1
+			}
+			s.mask[c] = 0
+		}
+	}
 	return s
 }
 
-// lowestSlot returns the lowest height at which an item of the given demand
-// fits on choice c under the choice's capacity, given the placed
-// rectangles, or -1 when it fits nowhere. The rectangles sharing an edge
-// with c are insertion-sorted by bottom and swept upwards from 0: the
-// lowest gap tall enough starts at 0 or at the top of one of them, which is
-// where the grounded placement of Observation 11 puts the item. This is the
-// innermost hot path: it runs once per (node, choice) and must not
-// allocate.
-func (s *searcher) lowestSlot(c int, demand int64, placed []rect) int64 {
-	nc := len(s.choices)
-	row := s.overlap[c*nc : (c+1)*nc]
-	below := s.below
-	for _, r := range placed {
-		if !row[r.choice] {
-			continue
-		}
-		k := len(below)
-		below = append(below, r)
-		for k > 0 && below[k-1].bottom > r.bottom {
-			below[k] = below[k-1]
-			k--
-		}
-		below[k] = r
+// descend derives level d from level d-1 and the new placement
+// r = placed[d-1], for the choices of the items in remaining. r goes into
+// the sorted placements at position p, after those with a lower or equal
+// bottom, and every choice's mask gets a bit inserted at p, set iff r
+// shares an edge with the choice. A slot can only rise: it stays put when
+// it was already -1, when r shares no edge with the choice, or when r lies
+// wholly above or below the gap [h, h+demand) it names. Otherwise the
+// choice is re-swept over its mask. This is the innermost hot path: it
+// runs once per node and must not allocate.
+func (s *searcher) descend(d int, remaining uint64) {
+	n, nc := len(s.items), len(s.choices)
+	r := s.placed[d-1]
+	from := s.sorted[(d-1)*2*n : (d-1)*2*n+2*(d-1)]
+	to := s.sorted[d*2*n : d*2*n+2*d]
+	p := 0
+	for p < d-1 && from[2*p] <= r.bottom {
+		p++
 	}
-	var h int64
-	for _, r := range below {
-		if r.bottom >= h+demand {
+	copy(to, from[:2*p])
+	to[2*p], to[2*p+1] = r.bottom, r.top
+	copy(to[2*p+2:], from[2*p:])
+
+	row := s.overlap[int(r.choice)*nc : (int(r.choice)+1)*nc]
+	pslot, pmask := s.slot[(d-1)*nc:d*nc], s.mask[(d-1)*nc:d*nc]
+	slot, mask := s.slot[d*nc:(d+1)*nc], s.mask[d*nc:(d+1)*nc]
+	low := uint64(1)<<uint(p) - 1
+	for m := remaining; m != 0; m &= m - 1 {
+		it := s.items[bits.TrailingZeros64(m)]
+		for c := it.first; c < it.end; c++ {
+			h := pslot[c]
+			if h < 0 {
+				slot[c] = -1 // closed for good: its mask is never read again
+				continue
+			}
+			cm := pmask[c]&low | (pmask[c]&^low)<<1
+			if row[c] {
+				cm |= 1 << uint(p)
+				if r.top > h && r.bottom < h+it.demand {
+					h = s.sweep(c, cm, r.top, it.demand, to)
+				}
+			}
+			slot[c], mask[c] = h, cm
+		}
+	}
+}
+
+// sweep returns the lowest height from h up at which an item of the given
+// demand fits on choice c among the sorted placements the mask selects,
+// or -1 when that gap passes the choice's ceiling. The lowest free gap
+// starts at 0 or at the top of a placement sharing an edge with c, which
+// is where the grounded placement of Observation 11 puts the item. Every
+// height below h must already be known to be blocked.
+func (s *searcher) sweep(c int, mask uint64, h, demand int64, sorted []int64) int64 {
+	for ; mask != 0; mask &= mask - 1 {
+		i := bits.TrailingZeros64(mask)
+		if sorted[2*i] >= h+demand {
 			break // the gap [h, h+demand) is free, and so is all above it
 		}
-		if r.top > h {
-			h = r.top
-		}
+		h = max(h, sorted[2*i+1])
 	}
 	if h+demand > s.choices[c].cap {
 		return -1
@@ -167,11 +232,18 @@ func (s *searcher) run() {
 	// Seed the incumbent with a greedy packing (weight-descending first
 	// fit) so the bound prunes early.
 	s.greedySeed()
-	s.rec(uint64(1)<<uint(len(s.items))-1, s.placed, 0)
+	all := uint64(1)<<uint(len(s.items)) - 1
+	var total int64
+	for _, it := range s.items {
+		total += it.weight
+	}
+	s.rec(0, all, 0, total)
+	obs.ExactBBNodes.Add(s.nodes)
 }
 
 // greedySeed places the items in weight-descending order, each on the
-// choice with the lowest slot (the first such choice on ties).
+// choice with the lowest slot (the first such choice on ties). Its
+// placements form one branch of the levels.
 func (s *searcher) greedySeed() {
 	order := make([]int, len(s.items))
 	for i := range order {
@@ -183,23 +255,28 @@ func (s *searcher) greedySeed() {
 	// different sort would silently change pinned outputs. It runs once
 	// per search, not per node.
 	sort.Slice(order, func(a, b int) bool { return s.items[order[a]].weight > s.items[order[b]].weight })
-	placed := s.placed
+	left := uint64(1)<<uint(len(s.items)) - 1
+	d := 0
 	var w int64
 	for _, j := range order {
+		left &^= 1 << uint(j)
 		it := s.items[j]
+		slot := s.slot[d*len(s.choices):]
 		best := rect{bottom: -1}
 		for c := it.first; c < it.end; c++ {
-			if h := s.lowestSlot(c, it.demand, placed); h >= 0 && (best.bottom < 0 || h < best.bottom) {
+			if h := slot[c]; h >= 0 && (best.bottom < 0 || h < best.bottom) {
 				best = rect{item: int32(j), choice: int32(c), bottom: h, top: h + it.demand}
 			}
 		}
 		if best.bottom >= 0 {
-			placed = append(placed, best)
+			s.placed[d] = best
+			d++
+			s.descend(d, left)
 			w += it.weight
 		}
 	}
 	s.bestWeight = w
-	s.record(placed)
+	s.record(s.placed[:d])
 }
 
 // record makes placed the incumbent.
@@ -213,12 +290,12 @@ func (s *searcher) record(placed []rect) {
 	}
 }
 
-// rec explores placements. remaining is the bitmask of items not yet placed
-// or discarded (a branch discards implicitly by never placing an item:
-// placing any strict subset of remaining is reachable because the recursion
-// can stop improving at any node), placed holds the committed rectangles,
-// cur the committed weight.
-func (s *searcher) rec(remaining uint64, placed []rect, cur int64) {
+// rec explores placements at depth d: placed[:d] holds the committed
+// rectangles, cur their weight. remaining is the bitmask of items not yet
+// placed or discarded (a branch discards implicitly by never placing an
+// item: placing any strict subset of remaining is reachable because the
+// recursion can stop improving at any node), and rem their total weight.
+func (s *searcher) rec(d int, remaining uint64, cur, rem int64) {
 	s.nodes++
 	// Masked cooperative check: a context and deadline poll every 1024
 	// nodes keeps the per-node cost negligible while bounding cancellation
@@ -236,16 +313,16 @@ func (s *searcher) rec(remaining uint64, placed []rect, cur int64) {
 	}
 	if cur > s.bestWeight {
 		s.bestWeight = cur
-		s.record(placed)
+		s.record(s.placed[:d])
 	}
 	// Upper bound: current + everything remaining.
-	var rem int64
-	for m := remaining; m != 0; m &= m - 1 {
-		rem += s.items[bits.TrailingZeros64(m)].weight
-	}
 	if cur+rem <= s.bestWeight {
 		return
 	}
+	if d > 0 {
+		s.descend(d, remaining)
+	}
+	slot := s.slot[d*len(s.choices):]
 	// Branch on which remaining item is placed next and on which choice,
 	// at that choice's lowest slot. The nondecreasing-height exchange
 	// argument makes this complete for every assignment of choices.
@@ -257,13 +334,13 @@ func (s *searcher) rec(remaining uint64, placed []rect, cur int64) {
 		it := s.items[j]
 		fits := false
 		for c := it.first; c < it.end; c++ {
-			h := s.lowestSlot(c, it.demand, placed)
+			h := slot[c]
 			if h < 0 {
 				continue
 			}
 			fits = true
-			r := rect{item: int32(j), choice: int32(c), bottom: h, top: h + it.demand}
-			s.rec(remaining&^(1<<uint(j)), append(placed, r), cur+it.weight)
+			s.placed[d] = rect{item: int32(j), choice: int32(c), bottom: h, top: h + it.demand}
+			s.rec(d+1, remaining&^(1<<uint(j)), cur+it.weight, rem-it.weight)
 		}
 		if !fits {
 			// j can never be placed deeper in this branch (slots only
@@ -373,9 +450,30 @@ func SolveChoicesCtx(ctx context.Context, capacity []int64, alts [][]model.Task,
 	}
 	a, release := scratch.Acquire(ctx)
 	defer release()
+	items, choices := pathChoices(capacity, alts, nc, a)
+	s := newSearcher(ctx, items, choices, opts.MaxNodes, a)
+	s.deadline = deadline
+	s.run()
+	sol := &model.Solution{Items: make([]model.Placement, 0, n)}
+	for i, h := range s.bestHeights {
+		if h >= 0 {
+			t := alts[i][s.bestChoice[i]-items[i].first]
+			sol.Items = append(sol.Items, model.Placement{Task: t, Height: h})
+		}
+	}
+	if len(sol.Items) == 0 {
+		sol.Items = nil // an empty solution has nil Items, like every other solver's
+	}
+	return sol, s.err()
+}
+
+// pathChoices gives task i one choice per alternative in alts[i], nc in
+// total, each occupying the alternative's edges under their bottleneck
+// capacity.
+func pathChoices(capacity []int64, alts [][]model.Task, nc int, a *scratch.Arena) ([]item, []choice) {
 	words := len(capacity)/64 + 1
 	backing := a.Uint64sZero(nc * words)
-	items := make([]item, n)
+	items := make([]item, len(alts))
 	choices := make([]choice, 0, nc)
 	for i, g := range alts {
 		items[i] = item{first: len(choices), end: len(choices) + len(g)}
@@ -392,20 +490,7 @@ func SolveChoicesCtx(ctx context.Context, capacity []int64, alts [][]model.Task,
 			choices = append(choices, choice{edges: bits, cap: ceiling})
 		}
 	}
-	s := newSearcher(ctx, items, choices, opts.MaxNodes, a)
-	s.deadline = deadline
-	s.run()
-	sol := &model.Solution{Items: make([]model.Placement, 0, n)}
-	for i, h := range s.bestHeights {
-		if h >= 0 {
-			t := alts[i][s.bestChoice[i]-items[i].first]
-			sol.Items = append(sol.Items, model.Placement{Task: t, Height: h})
-		}
-	}
-	if len(sol.Items) == 0 {
-		sol.Items = nil // an empty solution has nil Items, like every other solver's
-	}
-	return sol, s.err()
+	return items, choices
 }
 
 // SolveUFPP computes an optimal UFPP solution by include/exclude branch and

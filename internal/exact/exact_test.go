@@ -9,6 +9,7 @@ import (
 
 	"sapalloc/internal/gen"
 	"sapalloc/internal/model"
+	"sapalloc/internal/obs"
 	"sapalloc/internal/saperr"
 	"sapalloc/internal/scratch"
 )
@@ -163,6 +164,22 @@ func TestSolveSAPBudget(t *testing.T) {
 	// Incumbent must still be feasible (greedy seed).
 	if err := model.ValidSAP(in, sol); err != nil {
 		t.Errorf("budget incumbent infeasible: %v", err)
+	}
+}
+
+// A search adds its node count to exact_bb_nodes once, when it ends: a
+// path search cut at MaxNodes 1000 ran exactly 1001 nodes, the last one the
+// node that found the budget spent.
+func TestSolveSAPCountsNodes(t *testing.T) {
+	obs.EnableMetrics()
+	defer obs.DisableMetrics()
+	in := gen.Random(gen.Config{Seed: 1, Edges: 10, Tasks: 20, Class: gen.Medium})
+	before := obs.ExactBBNodes.Value()
+	if _, err := SolveSAP(in, Options{MaxNodes: 1000}); !errors.Is(err, ErrBudget) {
+		t.Fatalf("want ErrBudget, got %v", err)
+	}
+	if got := obs.ExactBBNodes.Value() - before; got != 1001 {
+		t.Errorf("exact_bb_nodes grew by %d, want 1001", got)
 	}
 }
 

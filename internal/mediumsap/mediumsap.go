@@ -96,9 +96,10 @@ type Result struct {
 	Residue, Ell, Q int
 	// Degraded is set when at least one class fell back from the proven
 	// per-class optimum to a best-effort solution — because the exact
-	// search exhausted its node budget or its deadline slice, or because a
-	// class failed entirely and was dropped (see ClassErrs). The stacked
-	// result remains feasible either way.
+	// search exhausted its node budget or its deadline slice, because the
+	// class held more than exact.MaxTasks tasks and only its heaviest were
+	// solved, or because a class failed entirely and was dropped (see
+	// ClassErrs). The stacked result remains feasible either way.
 	Degraded bool
 	// ClassErrs collects the typed errors of classes that were dropped.
 	ClassErrs []error
@@ -242,11 +243,20 @@ func Elevator(in *model.Instance, tasks []model.Task, k, ell int, p Params) (*mo
 
 // ElevatorCtx is Elevator under a context. degraded reports that the class
 // solution is the exact search's feasible incumbent rather than the proven
-// optimum — either the node budget or the deadline slice ran out. This is
-// the pipeline's exact → approximate fallback: the incumbent is seeded with
-// a greedy packing, so a cancelled class still contributes a solution.
+// optimum — the node budget or the deadline slice ran out, or the class
+// held more than exact.MaxTasks tasks and only its MaxTasks heaviest were
+// searched. This is the pipeline's exact → approximate fallback: the
+// incumbent is seeded with a greedy packing, so a cancelled class still
+// contributes a solution.
 func ElevatorCtx(ctx context.Context, in *model.Instance, tasks []model.Task, k, ell int, p Params) (sol *model.Solution, degraded bool, err error) {
 	p = p.withDefaults()
+	// The exact search takes at most MaxTasks tasks, so a larger class is
+	// cut to its MaxTasks heaviest: a feasible best effort, degraded like a
+	// truncated search.
+	degraded = len(tasks) > exact.MaxTasks
+	if degraded {
+		tasks = heaviest(tasks, exact.MaxTasks)
+	}
 	classIn := in.Restrict(tasks)
 	if k+ell >= 0 && k+ell < 62 {
 		classIn = classIn.ClipCapacities(int64(1) << uint(k+ell))
@@ -262,18 +272,43 @@ func ElevatorCtx(ctx context.Context, in *model.Instance, tasks []model.Task, k,
 		// measured ratios either way). This mirrors the paper's reliance
 		// on a DP whose exponent L² makes it polynomial only for constant
 		// δ and ℓ.
-		obs.ExactFallbacks.Inc()
 		degraded = true
 		err = nil
 	}
 	if err != nil {
 		return nil, false, err
 	}
+	if degraded {
+		obs.ExactFallbacks.Inc()
+	}
 	lo, hi := ElevatePartition(opt, k, p.BetaNum, p.BetaDen)
 	if lo.Weight() >= hi.Weight() {
 		return lo, degraded, nil
 	}
 	return hi, degraded, nil
+}
+
+// heaviest returns the k heaviest of the tasks (ties to the lower ID) in
+// their given order.
+func heaviest(tasks []model.Task, k int) []model.Task {
+	order := make([]int, len(tasks))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool {
+		ta, tb := tasks[order[a]], tasks[order[b]]
+		if ta.Weight != tb.Weight {
+			return ta.Weight > tb.Weight
+		}
+		return ta.ID < tb.ID
+	})
+	keep := order[:k]
+	sort.Ints(keep)
+	out := make([]model.Task, k)
+	for i, j := range keep {
+		out[i] = tasks[j]
+	}
+	return out
 }
 
 // ElevatePartition splits a feasible class solution into two β-elevated

@@ -194,6 +194,7 @@ var (
 	DPStates       = NewCounter("largesap_dp_states")     // MWIS path-DP states materialised
 	BBNodes        = NewCounter("largesap_bb_nodes")      // MWIS branch-and-bound nodes
 	BBFallbacks    = NewCounter("largesap_bb_fallback")   // path-DP → branch-and-bound fallbacks
+	ExactBBNodes   = NewCounter("exact_bb_nodes")         // exact SAP branch-and-bound nodes (path, ring, window)
 	ExactFallbacks = NewCounter("medium_exact_fallbacks") // medium classes degraded to incumbents
 	MWUIters       = NewCounter("lp_mwu_iters")           // Garg–Könemann oracle iterations
 	OracleChecks   = NewCounter("oracle_checks")          // oracle feasibility verifications

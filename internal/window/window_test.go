@@ -283,8 +283,11 @@ func TestNegativeMaxNodesRejected(t *testing.T) {
 }
 
 func TestSolveExactCtxCancellation(t *testing.T) {
-	r := rand.New(rand.NewSource(9))
-	in := randomWindowed(r, 8, 22, 4)
+	// The full search of this instance takes about 3.0 s on a 2-vCPU Xeon
+	// VM (Go 1.24), 100 times the 30 ms deadline below, so the deadline
+	// always cuts it short.
+	r := rand.New(rand.NewSource(1))
+	in := randomWindowed(r, 8, 26, 4)
 
 	// A context cancelled before the search starts is rejected up front.
 	pre, cancel := context.WithCancel(context.Background())
