@@ -147,13 +147,24 @@ type Result struct {
 
 // Partition splits the tasks per Theorem 4 (k = 2, β = ¼): δ-small tasks,
 // medium tasks (δ-large and ½-small), and ½-large tasks, with δ =
-// 1/deltaDen.
+// 1/deltaDen. Each family keeps the task order; an empty family is nil.
 func Partition(in *model.Instance, deltaDen int64) (small, medium, large []model.Task) {
+	a := scratch.Get()
+	defer scratch.Put(a)
+	return partition(in, deltaDen, a, make([]model.Task, len(in.Tasks)))
+}
+
+// partition is Partition writing the three families into out, which must
+// hold len(in.Tasks) tasks: small, then medium, then large. The per-task
+// families are kept in a.
+func partition(in *model.Instance, deltaDen int64, a *scratch.Arena, out []model.Task) (small, medium, large []model.Task) {
 	if deltaDen < 1 {
 		deltaDen = 1 // δ ≥ 1 keeps the division below defined; withDefaults never passes less
 	}
+	family := a.Ints(len(in.Tasks))
+	var size [3]int
 	bot := in.BottleneckFunc()
-	for _, t := range in.Tasks {
+	for i, t := range in.Tasks {
 		b := bot(t)
 		switch {
 		// d ≤ δ·b ⟺ d·deltaDen ≤ b ⟺ d ≤ ⌊b/deltaDen⌋ (all positive
@@ -162,14 +173,26 @@ func Partition(in *model.Instance, deltaDen int64) (small, medium, large []model
 		// Validate, so DeltaDen ≥ 2^23 silently misclassified large tasks
 		// as small).
 		case t.Demand <= b/deltaDen:
-			small = append(small, t)
+			family[i] = 0
 		case 2*t.Demand <= b: // δ·b < d ≤ b/2
-			medium = append(medium, t)
+			family[i] = 1
 		default: // d > b/2
-			large = append(large, t)
+			family[i] = 2
 		}
+		size[family[i]]++
 	}
-	return small, medium, large
+	var fams [3][]model.Task
+	off := 0
+	for f, n := range size {
+		if n > 0 {
+			fams[f] = out[off : off : off+n]
+		}
+		off += n
+	}
+	for i, t := range in.Tasks {
+		fams[family[i]] = append(fams[family[i]], t)
+	}
+	return fams[0], fams[1], fams[2]
 }
 
 // Solve runs the combined (9+ε)-approximation of Theorem 4 and returns the
@@ -255,30 +278,42 @@ func solveMono(ctx context.Context, start time.Time, in *model.Instance, p Param
 	if err := saperr.FromContext(ctx); err != nil {
 		return nil, err
 	}
+	// The partition and, when the arms run one after another, all three
+	// arms work on the arena of ctx: a shard worker's, or a pooled one.
+	ctx, a, release := scratch.Attach(ctx)
+	defer release()
 	_, endPartition := obs.StartSpan(ctx, "core/partition")
-	small, medium, large := Partition(in, p.DeltaDen)
+	small, medium, large := partition(in, p.DeltaDen, a, a.Tasks(len(in.Tasks)))
 	endPartition()
 	res = &Result{NumSmall: len(small), NumMedium: len(medium), NumLarge: len(large)}
 	report := &SolveReport{Deadline: p.Deadline}
 
 	var smallRes *smallsap.Result
 	var medRes *mediumsap.Result
+	concurrent := par.Workers(p.Workers, len(armSpanNames)) > 1
 	// runArm solves one arm under per-arm panic containment, so a solver
 	// bug or corrupt sub-instance degrades that arm instead of the solve.
+	// The arm's sub-instance shares the capacity profile and takes its
+	// family from the partition.
 	runArm := func(i int) (sol *model.Solution, degraded bool, err error) {
 		defer saperr.Contain(&err)
-		// Each arm gets its own scratch arena (arenas are single-goroutine;
-		// the class fan-outs below shadow it again per worker) and its own
-		// trace track: the arms run concurrently, so sharing the parent's
-		// track would interleave their spans.
-		a := scratch.Get()
-		defer scratch.Put(a)
-		armCtx, endArm := obs.StartSpanTrack(scratch.With(ctx, a), armSpanNames[i])
+		// Concurrent arms each get their own scratch arena (arenas are
+		// single-goroutine; the class fan-outs below shadow it again per
+		// worker). Every arm gets its own trace track: the arms may run
+		// concurrently, so sharing the parent's track would interleave
+		// their spans.
+		armCtx := ctx
+		if concurrent {
+			a := scratch.Get()
+			defer scratch.Put(a)
+			armCtx = scratch.With(ctx, a)
+		}
+		armCtx, endArm := obs.StartSpanTrack(armCtx, armSpanNames[i])
 		defer endArm()
 		switch Arm(i) {
 		case ArmSmall:
 			faultinject.Fire(armCtx, "core/arm/small")
-			r, err := smallsap.SolveCtx(armCtx, in.Restrict(small), p.Small)
+			r, err := smallsap.SolveCtx(armCtx, &model.Instance{Capacity: in.Capacity, Tasks: small}, p.Small)
 			if err != nil {
 				return nil, false, err
 			}
@@ -286,7 +321,7 @@ func solveMono(ctx context.Context, start time.Time, in *model.Instance, p Param
 			return r.Solution, r.Degraded, nil
 		case ArmMedium:
 			faultinject.Fire(armCtx, "core/arm/medium")
-			r, err := mediumsap.SolveCtx(armCtx, in.Restrict(medium), mediumsap.Params{
+			r, err := mediumsap.SolveCtx(armCtx, &model.Instance{Capacity: in.Capacity, Tasks: medium}, mediumsap.Params{
 				Eps: p.Eps, BetaNum: 1, BetaDen: 4, Exact: p.Exact, Workers: p.Workers,
 			})
 			if err != nil {
@@ -296,7 +331,7 @@ func solveMono(ctx context.Context, start time.Time, in *model.Instance, p Param
 			return r.Solution, r.Degraded, nil
 		default:
 			faultinject.Fire(armCtx, "core/arm/large")
-			sol, err := largesap.SolveCtx(armCtx, in.Restrict(large), p.Large)
+			sol, err := largesap.SolveCtx(armCtx, &model.Instance{Capacity: in.Capacity, Tasks: large}, p.Large)
 			if err != nil {
 				if sol != nil && (errors.Is(err, largesap.ErrBudget) || saperr.IsCancelled(err)) {
 					return sol, true, nil // feasible incumbent stands

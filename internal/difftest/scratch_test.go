@@ -1,10 +1,13 @@
 package difftest
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
 	"sapalloc/internal/core"
+	"sapalloc/internal/gen"
+	"sapalloc/internal/model"
 	"sapalloc/internal/ringsap"
 	"sapalloc/internal/scratch"
 )
@@ -40,6 +43,18 @@ func dirtyArenaPool() {
 			for j := range su {
 				su[j] = uint64(j)*0x9E3779B97F4A7C15 + 1
 			}
+			sf := a.Float64s(n)
+			for j := range sf {
+				sf[j] = float64(j%7) / 8
+			}
+			st := a.Tasks(n)
+			for j := range st {
+				st[j] = model.Task{ID: j, Start: j % 5, End: j%5 + 1, Demand: int64(j%9 + 1), Weight: int64(j%13 + 1)}
+			}
+			sp := a.Placements(n)
+			for j := range sp {
+				sp[j] = model.Placement{Task: st[j], Height: int64(j % 11)}
+			}
 		}
 		arenas[i] = a
 	}
@@ -48,22 +63,40 @@ func dirtyArenaPool() {
 	}
 }
 
+// archipelagoCases are instances that decompose at zero-load cuts, so
+// core.Solve takes the sharded path: every shard runs its arms and class
+// solves one after another on the shard worker's arena. They stay out of
+// PathCases, whose every case each exhaustive solver also runs.
+func archipelagoCases() []Case {
+	var cases []Case
+	for _, tasks := range []int{10, 18} {
+		cfg := gen.ArchipelagoConfig{Seed: int64(tasks), Islands: 8, IslandEdges: 8, GapEdges: 2, TasksPerIsland: tasks, Class: gen.Mixed}
+		cases = append(cases, Case{Name: fmt.Sprintf("archipelago-%d", tasks), Replay: cfg.Replay(), In: gen.Archipelago(cfg)})
+	}
+	return cases
+}
+
 // TestScratchReusePoisoning pins the scratch ownership contract end to end:
-// every path case is solved twice per Workers value through pooled solver
-// state, with the arena pool dirtied and poisoned between runs. Both runs
-// must be byte-identical to a fresh-state baseline solved with poisoning
-// off. A solver that reads scratch memory it never initialised (assuming
-// zeroed chunks), or that retains arena-backed memory across a Put, diverges
-// from the baseline here; with `go test -race` the matrix doubles as the
+// every path case, and the archipelago cases that take the sharded path,
+// is solved twice per Workers value through pooled solver state, with the
+// arena pool dirtied and poisoned between runs. Both runs must be
+// byte-identical to a fresh-state baseline solved with poisoning off. A
+// solver that reads scratch memory it never initialised (assuming zeroed
+// chunks), or that retains arena-backed memory across a Put, diverges from
+// the baseline here; with `go test -race` the matrix doubles as the
 // cross-goroutine-arena probe.
 func TestScratchReusePoisoning(t *testing.T) {
 	defer scratch.SetPoison(false)
-	for _, c := range PathCases() {
+	paths := PathCases()
+	for i, c := range append(paths, archipelagoCases()...) {
 		t.Run(c.Name, func(t *testing.T) {
 			scratch.SetPoison(false)
 			base, err := core.Solve(c.In, core.Params{Workers: 1})
 			if err != nil {
 				t.Fatalf("baseline: %v (replay: %s)", err, c.Replay)
+			}
+			if i >= len(paths) && base.Shards == nil {
+				t.Fatalf("the solve did not take the sharded path (replay: %s)", c.Replay)
 			}
 			stripTimings(base)
 			scratch.SetPoison(true)

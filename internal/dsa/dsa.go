@@ -6,11 +6,14 @@
 package dsa
 
 import (
+	"cmp"
 	"context"
+	"slices"
 	"sort"
 
 	"sapalloc/internal/intervals"
 	"sapalloc/internal/model"
+	"sapalloc/internal/scratch"
 )
 
 // Order selects the insertion order used by first-fit packing.
@@ -34,33 +37,37 @@ func OrderedTasks(tasks []model.Task, ord Order) []model.Task {
 	return orderTasks(tasks, ord)
 }
 
-// orderTasks returns a copy of tasks arranged according to ord. Sorting is
-// stable with ID tie-breaks so results are deterministic.
+// orderTasks returns a copy of tasks arranged according to ord.
 func orderTasks(tasks []model.Task, ord Order) []model.Task {
-	out := append([]model.Task(nil), tasks...)
+	return sortTasks(append([]model.Task(nil), tasks...), ord)
+}
+
+// sortTasks arranges tasks in place according to ord and returns them.
+// Sorting is stable with ID tie-breaks so results are deterministic.
+func sortTasks(tasks []model.Task, ord Order) []model.Task {
 	switch ord {
 	case ByStart:
-		sort.SliceStable(out, func(i, j int) bool {
-			if out[i].Start != out[j].Start {
-				return out[i].Start < out[j].Start
+		slices.SortStableFunc(tasks, func(p, q model.Task) int {
+			if p.Start != q.Start {
+				return cmp.Compare(p.Start, q.Start)
 			}
-			if out[i].End != out[j].End {
-				return out[i].End > out[j].End
+			if p.End != q.End {
+				return cmp.Compare(q.End, p.End)
 			}
-			return out[i].ID < out[j].ID
+			return cmp.Compare(p.ID, q.ID)
 		})
 	case ByDensity:
-		sort.SliceStable(out, func(i, j int) bool {
-			// w_i/d_i > w_j/d_j without division.
-			li := out[i].Weight * out[j].Demand
-			lj := out[j].Weight * out[i].Demand
-			if li != lj {
-				return li > lj
+		slices.SortStableFunc(tasks, func(p, q model.Task) int {
+			// w_p/d_p > w_q/d_q without division.
+			lp := p.Weight * q.Demand
+			lq := q.Weight * p.Demand
+			if lp != lq {
+				return cmp.Compare(lq, lp)
 			}
-			return out[i].ID < out[j].ID
+			return cmp.Compare(p.ID, q.ID)
 		})
 	}
-	return out
+	return tasks
 }
 
 // placed is an internal record of an allocated rectangle.
@@ -70,18 +77,20 @@ type placed struct {
 	top        int64
 }
 
-// packer holds a first-fit packing in progress. The overlap and candidate
-// buffers are reused across placements so the per-task hot path does not
-// allocate; the former per-call sort.Slice is an insertion sort over plain
-// int64 heights (same order for any sort).
+var placedKind = scratch.NewKind(placed{start: 0x5A5A5A5A, end: -0x5A5A5A5B, bottom: -0x5A5A5A5B, top: -0x5A5A5A5B})
+
+// packer holds a first-fit packing in progress. Its buffers come from an
+// arena, sized for n placements, and are reused across placements so the
+// per-task hot path does not allocate; the former per-call sort.Slice is
+// an insertion sort over plain int64 heights (same order for any sort).
 type packer struct {
 	rects []placed
 	ov    []placed
 	cand  []int64
 }
 
-func newPacker(capHint int) *packer {
-	return &packer{rects: make([]placed, 0, capHint)}
+func newPacker(a *scratch.Arena, n int) packer {
+	return packer{rects: placedKind.Make(a, n)[:0], ov: placedKind.Make(a, n)[:0], cand: a.Int64s(n + 1)[:0]}
 }
 
 func (p *packer) place(start, end int, bottom, top int64) {
@@ -143,10 +152,20 @@ func PackStrip(tasks []model.Task, ceiling int64, ord Order) (sol *model.Solutio
 // On cancellation the tasks not yet placed are moved to dropped — the
 // partial packing is a feasible strip solution in its own right.
 func PackStripCtx(ctx context.Context, tasks []model.Task, ceiling int64, ord Order) (sol *model.Solution, dropped []model.Task) {
-	sol = &model.Solution{}
-	pk := newPacker(len(tasks))
+	a, release := scratch.Acquire(ctx)
+	defer release()
+	items, dropped := packStripIn(ctx, a, tasks, ceiling, ord, nil, nil)
+	return &model.Solution{Items: items}, dropped
+}
+
+// packStripIn is PackStripCtx with its order and packer in the arena a. It
+// appends the placements to items and the dropped tasks to dropped.
+func packStripIn(ctx context.Context, a *scratch.Arena, tasks []model.Task, ceiling int64, ord Order, items []model.Placement, dropped []model.Task) ([]model.Placement, []model.Task) {
+	pk := newPacker(a, len(tasks))
 	done := ctx.Done()
-	ordered := orderTasks(tasks, ord)
+	ordered := a.Tasks(len(tasks))
+	copy(ordered, tasks)
+	sortTasks(ordered, ord)
 	for i, t := range ordered {
 		if done != nil && i&255 == 0 && ctx.Err() != nil {
 			dropped = append(dropped, ordered[i:]...)
@@ -162,9 +181,9 @@ func PackStripCtx(ctx context.Context, tasks []model.Task, ceiling int64, ord Or
 			continue
 		}
 		pk.place(t.Start, t.End, h, h+t.Demand)
-		sol.Items = append(sol.Items, model.Placement{Task: t, Height: h})
+		items = append(items, model.Placement{Task: t, Height: h})
 	}
-	return sol, dropped
+	return items, dropped
 }
 
 // PackStripUnbounded packs all tasks into an unbounded strip by first-fit in
@@ -172,7 +191,9 @@ func PackStripCtx(ctx context.Context, tasks []model.Task, ceiling int64, ord Or
 // objective). No task is ever dropped.
 func PackStripUnbounded(tasks []model.Task, ord Order) (*model.Solution, int64) {
 	sol := &model.Solution{}
-	pk := newPacker(len(tasks))
+	a := scratch.Get()
+	defer scratch.Put(a)
+	pk := newPacker(a, len(tasks))
 	var makespan int64
 	for _, t := range orderTasks(tasks, ord) {
 		h := pk.lowestFreeSlot(t.Start, t.End, t.Demand)
@@ -217,15 +238,37 @@ func ConvertToStrip(tasks []model.Task, ceiling int64) ConvertResult {
 // ConvertToStripCtx is ConvertToStrip under a context; a cancelled order
 // trial keeps whatever it packed, so the result is always feasible.
 func ConvertToStripCtx(ctx context.Context, tasks []model.Task, ceiling int64) ConvertResult {
-	input := model.WeightOf(tasks)
-	var best ConvertResult
-	for i, ord := range []Order{ByStart, ByDensity} {
-		sol, dropped := PackStripCtx(ctx, tasks, ceiling, ord)
-		if w := sol.Weight(); i == 0 || w > best.RetainedWeight {
-			best = ConvertResult{Solution: sol, Dropped: dropped, RetainedWeight: w, InputWeight: input}
-		}
+	a, release := scratch.Acquire(ctx)
+	defer release()
+	items, dropped, w := ConvertToStripIn(ctx, a, tasks, ceiling, a.Placements(len(tasks))[:0])
+	sol := &model.Solution{}
+	if len(items) > 0 {
+		sol.Items = slices.Clone(items)
 	}
-	return best
+	if len(dropped) > 0 {
+		dropped = slices.Clone(dropped)
+	} else {
+		dropped = nil
+	}
+	return ConvertResult{Solution: sol, Dropped: dropped, RetainedWeight: w, InputWeight: model.WeightOf(tasks)}
+}
+
+// ConvertToStripIn is ConvertToStripCtx for a caller that keeps the packing
+// in its arena: it appends the heavier first-fit packing to items (ByStart
+// on ties) and returns it with the tasks it dropped and its weight. Every
+// buffer, and dropped, lives in a; items grows only when it lacks the room
+// for len(tasks) more placements.
+func ConvertToStripIn(ctx context.Context, a *scratch.Arena, tasks []model.Task, ceiling int64, items []model.Placement) ([]model.Placement, []model.Task, int64) {
+	base := len(items)
+	items = slices.Grow(items, len(tasks))
+	items, dropped := packStripIn(ctx, a, tasks, ceiling, ByStart, items, a.Tasks(len(tasks))[:0])
+	retained := (&model.Solution{Items: items[base:]}).Weight()
+	alt, altDropped := packStripIn(ctx, a, tasks, ceiling, ByDensity, a.Placements(len(tasks))[:0], a.Tasks(len(tasks))[:0])
+	if w := (&model.Solution{Items: alt}).Weight(); w > retained {
+		items = append(items[:base], alt...)
+		dropped, retained = altDropped, w
+	}
+	return items, dropped, retained
 }
 
 // Gravity lowers every placement of sol as far as possible and returns a new
@@ -243,7 +286,9 @@ func Gravity(sol *model.Solution) *model.Solution {
 		return items[i].Task.ID < items[j].Task.ID
 	})
 	out := &model.Solution{Items: make([]model.Placement, 0, len(items))}
-	pk := newPacker(len(items))
+	a := scratch.Get()
+	defer scratch.Put(a)
+	pk := newPacker(a, len(items))
 	for _, p := range items {
 		h := pk.lowestFreeSlot(p.Task.Start, p.Task.End, p.Task.Demand)
 		if h > p.Height {

@@ -32,11 +32,12 @@
 package exact
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 	"time"
 
 	"sapalloc/internal/faultinject"
@@ -99,6 +100,14 @@ type rect struct {
 // otherwise).
 const _ uint = 64 - MaxTasks
 
+// The search's records live in the enclosing solve's arena. Their poison
+// values are out of every range a search builds.
+var (
+	itemKind   = scratch.NewKind(item{demand: -0x5A5A5A5B, weight: -0x5A5A5A5B, first: 0x5A5A5A5A, end: -0x5A5A5A5B})
+	choiceKind = scratch.NewKind(choice{cap: -0x5A5A5A5B})
+	rectKind   = scratch.NewKind(rect{item: -0x5A5A5A5B, choice: -0x5A5A5A5B, bottom: -0x5A5A5A5B, top: -0x5A5A5A5B})
+)
+
 // searcher is the shared branch-and-bound core. All working buffers come
 // from a scratch.Arena owned by the enclosing solve, so steady-state
 // searches allocate nothing per node (and near-nothing per search).
@@ -118,6 +127,7 @@ type searcher struct {
 	stopped     error // why the search was cut short: the context's error or the deadline
 
 	placed []rect // the current branch's placements in placement order, len(items)
+	order  []int  // greedySeed's item order, len(items)
 
 	// The level tables. Level d, the state after placed[:d], sits at
 	// offset d·2n in sorted and d·nc in slot and mask. sorted holds its
@@ -130,9 +140,11 @@ type searcher struct {
 	mask   []uint64
 }
 
-func newSearcher(ctx context.Context, items []item, choices []choice, maxNodes int64, a *scratch.Arena) *searcher {
+// init sets s up for a search; a searcher declared in the solve's frame
+// stays off the heap.
+func (s *searcher) init(ctx context.Context, items []item, choices []choice, maxNodes int64, a *scratch.Arena) {
 	n, nc := len(items), len(choices)
-	s := &searcher{ctx: ctx, items: items, choices: choices, maxNodes: maxNodes}
+	*s = searcher{ctx: ctx, items: items, choices: choices, maxNodes: maxNodes}
 	s.overlap = a.BoolsZero(nc * nc)
 	for i := 0; i < nc; i++ {
 		for j := i + 1; j < nc; j++ {
@@ -144,7 +156,8 @@ func newSearcher(ctx context.Context, items []item, choices []choice, maxNodes i
 	}
 	s.bestHeights = a.Int64s(n)
 	s.bestChoice = a.Ints(n)
-	s.placed = make([]rect, n)
+	s.placed = rectKind.Make(a, n)
+	s.order = a.Ints(n)
 	s.sorted = a.Int64s((n + 1) * 2 * n)
 	s.slot = a.Int64s((n + 1) * nc)
 	s.mask = a.Uint64s((n + 1) * nc)
@@ -159,7 +172,6 @@ func newSearcher(ctx context.Context, items []item, choices []choice, maxNodes i
 			s.mask[c] = 0
 		}
 	}
-	return s
 }
 
 // descend derives level d from level d-1 and the new placement
@@ -245,16 +257,17 @@ func (s *searcher) run() {
 // choice with the lowest slot (the first such choice on ties). Its
 // placements form one branch of the levels.
 func (s *searcher) greedySeed() {
-	order := make([]int, len(s.items))
+	order := s.order
 	for i := range order {
 		order[i] = i
 	}
-	// sort.Slice stays here deliberately: the comparator is not a total
-	// order (equal weights tie arbitrarily) and budget-truncated searches
-	// make the seed's tie order output-affecting, so swapping in a
-	// different sort would silently change pinned outputs. It runs once
-	// per search, not per node.
-	sort.Slice(order, func(a, b int) bool { return s.items[order[a]].weight > s.items[order[b]].weight })
+	// The comparator is not a total order (equal weights tie arbitrarily),
+	// and budget-truncated searches make the seed's tie order
+	// output-affecting. slices.SortFunc is generated from the same pdqsort
+	// template as sort.Slice, so it makes the same comparisons and swaps
+	// and leaves ties where sort.Slice left them, without sort.Slice's
+	// reflection allocations.
+	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(s.items[b].weight, s.items[a].weight) })
 	left := uint64(1)<<uint(len(s.items)) - 1
 	d := 0
 	var w int64
@@ -328,9 +341,6 @@ func (s *searcher) rec(d int, remaining uint64, cur, rem int64) {
 	// argument makes this complete for every assignment of choices.
 	for m := remaining; m != 0; m &= m - 1 {
 		j := bits.TrailingZeros64(m)
-		if s.exhausted || s.stopped != nil {
-			return
-		}
 		it := s.items[j]
 		fits := false
 		for c := it.first; c < it.end; c++ {
@@ -341,6 +351,12 @@ func (s *searcher) rec(d int, remaining uint64, cur, rem int64) {
 			fits = true
 			s.placed[d] = rect{item: int32(j), choice: int32(c), bottom: h, top: h + it.demand}
 			s.rec(d+1, remaining&^(1<<uint(j)), cur+it.weight, rem-it.weight)
+			if s.exhausted || s.stopped != nil {
+				// Not even a sibling choice may run: a further child
+				// would count a node past the budget, and its poll could
+				// turn the spent budget into a cancellation.
+				return
+			}
 		}
 		if !fits {
 			// j can never be placed deeper in this branch (slots only
@@ -419,11 +435,36 @@ func SolveSAP(in *model.Instance, opts Options) (*model.Solution, error) {
 // together with an error wrapping saperr.ErrCancelled — the anytime
 // counterpart of the ErrBudget contract.
 func SolveSAPCtx(ctx context.Context, in *model.Instance, opts Options) (*model.Solution, error) {
-	alts := make([][]model.Task, len(in.Tasks))
-	for i := range in.Tasks {
-		alts[i] = in.Tasks[i : i+1 : i+1]
+	return solution(AppendSAPCtx(ctx, nil, in, opts))
+}
+
+// AppendSAPCtx is SolveSAPCtx for a caller that keeps the answer in its own
+// memory: it appends the placements of the optimum (or of the incumbent,
+// under the same error contract) to dst in task order and returns the
+// extended slice. dst grows only when it lacks the room.
+func AppendSAPCtx(ctx context.Context, dst []model.Placement, in *model.Instance, opts Options) ([]model.Placement, error) {
+	n := len(in.Tasks)
+	if n > MaxTasks {
+		return nil, fmt.Errorf("%w: %d tasks (max %d)", ErrTooLarge, n, MaxTasks)
 	}
-	return SolveChoicesCtx(ctx, in.Capacity, alts, opts)
+	a, release := scratch.Acquire(ctx)
+	defer release()
+	// Each task is its own single alternative.
+	ends := a.Ints(n)
+	for i := range ends {
+		ends[i] = i + 1
+	}
+	return search(ctx, a, in.Capacity, in.Tasks, ends, opts, dst)
+}
+
+// solution wraps a search's placements as the fresh Solution the public
+// solvers return (nil Items when nothing is placed), or nil for a search
+// that never ran.
+func solution(items []model.Placement, err error) (*model.Solution, error) {
+	if errors.Is(err, ErrTooLarge) {
+		return nil, err
+	}
+	return &model.Solution{Items: items}, err
 }
 
 // SolveChoicesCtx is SolveSAPCtx for tasks that may each take one of
@@ -436,8 +477,6 @@ func SolveSAPCtx(ctx context.Context, in *model.Instance, opts Options) (*model.
 // cancellation contract as SolveSAPCtx. More than MaxTasks tasks or
 // MaxChoices alternatives in total are rejected with ErrTooLarge.
 func SolveChoicesCtx(ctx context.Context, capacity []int64, alts [][]model.Task, opts Options) (*model.Solution, error) {
-	opts = opts.withDefaults()
-	deadline := opts.deadline()
 	n, nc := len(alts), 0
 	for _, g := range alts {
 		nc += len(g)
@@ -450,45 +489,66 @@ func SolveChoicesCtx(ctx context.Context, capacity []int64, alts [][]model.Task,
 	}
 	a, release := scratch.Acquire(ctx)
 	defer release()
-	items, choices := pathChoices(capacity, alts, nc, a)
-	s := newSearcher(ctx, items, choices, opts.MaxNodes, a)
-	s.deadline = deadline
-	s.run()
-	sol := &model.Solution{Items: make([]model.Placement, 0, n)}
-	for i, h := range s.bestHeights {
-		if h >= 0 {
-			t := alts[i][s.bestChoice[i]-items[i].first]
-			sol.Items = append(sol.Items, model.Placement{Task: t, Height: h})
-		}
+	flat, ends := a.Tasks(nc), a.Ints(n)
+	nc = 0
+	for i, g := range alts {
+		nc += copy(flat[nc:], g)
+		ends[i] = nc
 	}
-	if len(sol.Items) == 0 {
-		sol.Items = nil // an empty solution has nil Items, like every other solver's
-	}
-	return sol, s.err()
+	return solution(search(ctx, a, capacity, flat, ends, opts, nil))
 }
 
-// pathChoices gives task i one choice per alternative in alts[i], nc in
-// total, each occupying the alternative's edges under their bottleneck
-// capacity.
-func pathChoices(capacity []int64, alts [][]model.Task, nc int, a *scratch.Arena) ([]item, []choice) {
+// search runs the branch-and-bound over tasks whose alternatives are laid
+// out flat: task i may take one of alts[ends[i-1]:ends[i]] (from 0 for
+// task 0). It appends the placement of every task the best solution
+// schedules to dst, in task order.
+func search(ctx context.Context, a *scratch.Arena, capacity []int64, alts []model.Task, ends []int, opts Options, dst []model.Placement) ([]model.Placement, error) {
+	opts = opts.withDefaults()
+	items, choices := pathChoices(capacity, alts, ends, a)
+	var s searcher
+	s.init(ctx, items, choices, opts.MaxNodes, a)
+	s.deadline = opts.deadline()
+	s.run()
+	placed := 0
+	for _, h := range s.bestHeights {
+		if h >= 0 {
+			placed++
+		}
+	}
+	dst = slices.Grow(dst, placed)
+	for i, h := range s.bestHeights {
+		if h >= 0 {
+			// A choice's index is its alternative's index in alts.
+			dst = append(dst, model.Placement{Task: alts[s.bestChoice[i]], Height: h})
+		}
+	}
+	return dst, s.err()
+}
+
+// pathChoices gives task i one choice per alternative in
+// alts[ends[i-1]:ends[i]], each occupying the alternative's edges under
+// their bottleneck capacity. Choice c is alternative alts[c].
+func pathChoices(capacity []int64, alts []model.Task, ends []int, a *scratch.Arena) ([]item, []choice) {
 	words := len(capacity)/64 + 1
-	backing := a.Uint64sZero(nc * words)
-	items := make([]item, len(alts))
-	choices := make([]choice, 0, nc)
-	for i, g := range alts {
-		items[i] = item{first: len(choices), end: len(choices) + len(g)}
-		if len(g) > 0 {
-			items[i].demand, items[i].weight = g[0].Demand, g[0].Weight
+	backing := a.Uint64sZero(len(alts) * words)
+	items := itemKind.Make(a, len(ends))
+	first := 0
+	for i, end := range ends {
+		items[i] = item{first: first, end: end}
+		if end > first {
+			items[i].demand, items[i].weight = alts[first].Demand, alts[first].Weight
 		}
-		for _, t := range g {
-			bits := backing[len(choices)*words : (len(choices)+1)*words]
-			ceiling := capacity[t.Start]
-			for e := t.Start; e < t.End; e++ {
-				bits[e/64] |= 1 << (uint(e) % 64)
-				ceiling = min(ceiling, capacity[e])
-			}
-			choices = append(choices, choice{edges: bits, cap: ceiling})
+		first = end
+	}
+	choices := choiceKind.Make(a, len(alts))
+	for c, t := range alts {
+		bits := backing[c*words : (c+1)*words]
+		ceiling := capacity[t.Start]
+		for e := t.Start; e < t.End; e++ {
+			bits[e/64] |= 1 << (uint(e) % 64)
+			ceiling = min(ceiling, capacity[e])
 		}
+		choices[c] = choice{edges: bits, cap: ceiling}
 	}
 	return items, choices
 }
@@ -511,13 +571,14 @@ func SolveUFPPCtx(ctx context.Context, in *model.Instance, opts Options) ([]mode
 	sc, release := scratch.Acquire(ctx)
 	defer release()
 	// Order by weight descending for good incumbents early. As in
-	// greedySeed, sort.Slice stays: the comparator ties arbitrarily on
-	// equal weights and budget-truncated searches expose that order.
+	// greedySeed, the comparator ties arbitrarily on equal weights and
+	// budget-truncated searches expose that order, which slices.SortFunc
+	// leaves as sort.Slice did.
 	order := sc.Ints(n)
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool { return in.Tasks[order[a]].Weight > in.Tasks[order[b]].Weight })
+	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(in.Tasks[b].Weight, in.Tasks[a].Weight) })
 	suffix := sc.Int64sZero(n + 1)
 	for i := n - 1; i >= 0; i-- {
 		suffix[i] = suffix[i+1] + in.Tasks[order[i]].Weight
@@ -612,7 +673,8 @@ func SolveRingSAPCtx(ctx context.Context, r *model.RingInstance, opts Options) (
 	a, release := scratch.Acquire(ctx)
 	defer release()
 	items, choices := ringChoices(r, a)
-	s := newSearcher(ctx, items, choices, opts.MaxNodes, a)
+	var s searcher
+	s.init(ctx, items, choices, opts.MaxNodes, a)
 	s.deadline = deadline
 	s.run()
 	sol := &model.RingSolution{}
@@ -636,8 +698,8 @@ func ringChoices(r *model.RingInstance, a *scratch.Arena) ([]item, []choice) {
 	backing := a.Uint64sZero(2 * n * words)
 	// One sparse-table build answers every arc bottleneck in O(1).
 	capIx := r.Index()
-	items := make([]item, n)
-	choices := make([]choice, 2*n)
+	items := itemKind.Make(a, n)
+	choices := choiceKind.Make(a, 2*n)
 	for i, t := range r.Tasks {
 		items[i] = item{demand: t.Demand, weight: t.Weight, first: 2 * i, end: 2*i + 2}
 		for k, o := range ringOrientations {

@@ -183,6 +183,49 @@ func TestSolveSAPCountsNodes(t *testing.T) {
 	}
 }
 
+// The twins of TestSolveSAPCountsNodes for items with several choices: a
+// ring task has two orientations and a windowed task one choice per start
+// offset. A search cut at MaxNodes 1000 must stop at the node that found
+// the budget spent, without trying a sibling choice of any branch above.
+func TestSolveRingSAPCountsNodes(t *testing.T) {
+	obs.EnableMetrics()
+	defer obs.DisableMetrics()
+	for seed := int64(1); seed <= 5; seed++ {
+		before := obs.ExactBBNodes.Value()
+		if _, err := SolveRingSAP(gen.Ring(seed, 16, 30, 8, 33), Options{MaxNodes: 1000}); !errors.Is(err, ErrBudget) {
+			t.Fatalf("gen.Ring(%d, 16, 30, 8, 33): want ErrBudget, got %v", seed, err)
+		}
+		if got := obs.ExactBBNodes.Value() - before; got != 1001 {
+			t.Errorf("gen.Ring(%d, 16, 30, 8, 33): exact_bb_nodes grew by %d, want 1001", seed, got)
+		}
+	}
+}
+
+func TestSolveChoicesCountsNodes(t *testing.T) {
+	obs.EnableMetrics()
+	defer obs.DisableMetrics()
+	for seed := int64(1); seed <= 5; seed++ {
+		in := gen.Random(gen.Config{Seed: seed, Edges: 10, Tasks: 20, Class: gen.Medium})
+		// Each task may also start one or two edges further right.
+		alts := make([][]model.Task, len(in.Tasks))
+		for i, task := range in.Tasks {
+			for k := 0; k < 3 && task.End+k <= in.Edges(); k++ {
+				shifted := task
+				shifted.Start += k
+				shifted.End += k
+				alts[i] = append(alts[i], shifted)
+			}
+		}
+		before := obs.ExactBBNodes.Value()
+		if _, err := SolveChoicesCtx(context.Background(), in.Capacity, alts, Options{MaxNodes: 1000}); !errors.Is(err, ErrBudget) {
+			t.Fatalf("seed %d: want ErrBudget, got %v", seed, err)
+		}
+		if got := obs.ExactBBNodes.Value() - before; got != 1001 {
+			t.Errorf("seed %d: exact_bb_nodes grew by %d, want 1001", seed, got)
+		}
+	}
+}
+
 // Options.Deadline stops a search that the default node budget would let
 // run for seconds. The incumbent comes back feasible, with a cancellation
 // error that carries the deadline as its cause.
@@ -335,7 +378,8 @@ func ringPerMask(t *testing.T, r *model.RingInstance) int64 {
 			c := it.first + mask>>i&1
 			fixed[i] = item{demand: it.demand, weight: it.weight, first: c, end: c + 1}
 		}
-		s := newSearcher(context.Background(), fixed, choices, 0, a)
+		s := new(searcher)
+		s.init(context.Background(), fixed, choices, 0, a)
 		s.run()
 		if err := s.err(); err != nil {
 			t.Fatalf("mask %b: %v", mask, err)

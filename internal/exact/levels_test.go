@@ -62,9 +62,9 @@ func levelItems(r *rand.Rand, shape int, a *scratch.Arena) ([]item, []choice) {
 		capacity[e] = 8 + r.Int63n(40)
 	}
 	n := 4 + r.Intn(MaxTasks-3)
-	alts := make([][]model.Task, n)
-	nc := 0
-	for i := range alts {
+	var alts []model.Task
+	ends := make([]int, n)
+	for i := range ends {
 		length := 1 + r.Intn(min(m, 6))
 		offsets := 1
 		if shape == 2 {
@@ -73,11 +73,11 @@ func levelItems(r *rand.Rand, shape int, a *scratch.Arena) ([]item, []choice) {
 		first := r.Intn(m - length - offsets + 2)
 		demand, weight := 1+r.Int63n(12), 1+r.Int63n(50)
 		for k := 0; k < offsets; k++ {
-			alts[i] = append(alts[i], model.Task{ID: i, Start: first + k, End: first + k + length, Demand: demand, Weight: weight})
+			alts = append(alts, model.Task{ID: i, Start: first + k, End: first + k + length, Demand: demand, Weight: weight})
 		}
-		nc += offsets
+		ends[i] = len(alts)
 	}
-	return pathChoices(capacity, alts, nc, a)
+	return pathChoices(capacity, alts, ends, a)
 }
 
 // checkLevels walks random branches of one search over a random input and
@@ -92,7 +92,8 @@ func checkLevels(t *testing.T, seed int64, shape int) {
 	a := scratch.Get()
 	defer scratch.Put(a)
 	items, choices := levelItems(r, shape, a)
-	s := newSearcher(context.Background(), items, choices, 0, a)
+	s := new(searcher)
+	s.init(context.Background(), items, choices, 0, a)
 	nc := len(choices)
 	all := uint64(1)<<uint(len(items)) - 1
 	// remaining[d] is the item set level d was derived for.

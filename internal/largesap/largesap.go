@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"sapalloc/internal/faultinject"
@@ -58,8 +59,12 @@ func RectangleOf(in *model.Instance, t model.Task) Rect {
 // demand exceeds their bottleneck can never be scheduled and are skipped.
 // Bottlenecks come from the instance's RMQ index on large instances.
 func RectanglesOf(in *model.Instance) []Rect {
+	return appendRectangles(make([]Rect, 0, len(in.Tasks)), in)
+}
+
+// appendRectangles appends the rectangles RectanglesOf returns to out.
+func appendRectangles(out []Rect, in *model.Instance) []Rect {
 	bot := in.BottleneckFunc()
-	out := make([]Rect, 0, len(in.Tasks))
 	for _, t := range in.Tasks {
 		b := bot(t)
 		if b < t.Demand {
@@ -105,19 +110,32 @@ func Solve(in *model.Instance, opts Options) (*model.Solution, error) {
 // SolveCtx is Solve under a context. On cancellation the branch-and-bound's
 // feasible incumbent (possibly empty) is returned with an error wrapping
 // saperr.ErrCancelled, mirroring the ErrBudget contract.
+//
+// The rectangles and the DP live in the context's arena (a pooled one when
+// it carries none); only the returned Solution is fresh memory.
 func SolveCtx(ctx context.Context, in *model.Instance, opts Options) (*model.Solution, error) {
 	opts = opts.withDefaults()
-	rects := RectanglesOf(in)
+	a, release := scratch.Acquire(ctx)
+	defer release()
+	rects := appendRectangles(rectKind.Make(a, len(in.Tasks))[:0], in)
 	ctx, endMWIS := obs.StartSpan(ctx, "largesap/mwis")
 	defer endMWIS()
 	faultinject.Fire(ctx, "largesap/mwis")
-	chosen, err := maxWeightIndependentSetCtx(ctx, rects, in.Edges(), opts)
+	chosen, err := maxWeightIndependentSetIn(ctx, a, rects, in.Edges(), opts)
 	sol := &model.Solution{}
-	for _, i := range chosen {
-		sol.Items = append(sol.Items, model.Placement{Task: rects[i].Task, Height: rects[i].Bottom})
+	if len(chosen) > 0 {
+		sol.Items = make([]model.Placement, len(chosen))
+		for k, i := range chosen {
+			sol.Items[k] = model.Placement{Task: rects[i].Task, Height: rects[i].Bottom}
+		}
 	}
 	return sol, err
 }
+
+var (
+	rectKind    = scratch.NewKind(Rect{Task: model.Task{ID: -0x5A5A5A5B, Start: 0x5A5A5A5A, End: -0x5A5A5A5B}, Bottom: -0x5A5A5A5B, Top: -0x5A5A5A5B})
+	dpEntryKind = scratch.NewKind(dpEntry{mask: 0xA5A5A5A5A5A5A5A5, added: 0xA5A5A5A5A5A5A5A5, weight: -0x5A5A5A5B, prevIdx: -0x5A5A5A5B})
+)
 
 // MaxWeightIndependentSet computes an exact maximum-weight independent set
 // of the rectangle family by a left-to-right dynamic program whose states
@@ -127,10 +145,15 @@ func SolveCtx(ctx context.Context, in *model.Instance, opts Options) (*model.Sol
 // is exceeded the exact branch-and-bound fallback finishes the job. Indices
 // into rects are returned.
 func MaxWeightIndependentSet(rects []Rect, edges int, opts Options) ([]int, error) {
-	return maxWeightIndependentSetCtx(context.Background(), rects, edges, opts)
+	a := scratch.Get()
+	defer scratch.Put(a)
+	chosen, err := maxWeightIndependentSetIn(context.Background(), a, rects, edges, opts)
+	return slices.Clone(chosen), err
 }
 
-func maxWeightIndependentSetCtx(ctx context.Context, rects []Rect, edges int, opts Options) ([]int, error) {
+// maxWeightIndependentSetIn is MaxWeightIndependentSet under a context,
+// with the DP and its answer in the arena a.
+func maxWeightIndependentSetIn(ctx context.Context, a *scratch.Arena, rects []Rect, edges int, opts Options) ([]int, error) {
 	opts = opts.withDefaults()
 	n := len(rects)
 	if n == 0 {
@@ -139,7 +162,7 @@ func maxWeightIndependentSetCtx(ctx context.Context, rects []Rect, edges int, op
 	if n > 64 {
 		return mwisBranchBound(ctx, rects, opts)
 	}
-	chosen, ok := mwisPathDP(ctx, rects, edges, opts.MaxStates)
+	chosen, ok := mwisPathDP(ctx, a, rects, edges, opts.MaxStates)
 	if ok {
 		return chosen, nil
 	}
@@ -169,14 +192,13 @@ type dpEntry struct {
 // partial answer: interior layers do not reach the right end of the path).
 //
 // All per-edge structures are reused: the mask→slab-index map is cleared
-// (not reallocated) each edge, the starter list and conflict matrix come
-// from the solve's scratch arena, and ties are broken by the same total
-// order as before — max weight, then smallest (prevMask, added) — which is
-// iteration-order independent, so outputs are unchanged.
-func mwisPathDP(ctx context.Context, rects []Rect, edges int, maxStates int) ([]int, bool) {
+// (not reallocated) each edge, the state slab, the starter list, the
+// conflict matrix and the returned indices come from the arena a, and
+// ties are broken by the same total order as before — max weight, then
+// smallest (prevMask, added) — which is iteration-order independent, so
+// outputs are unchanged.
+func mwisPathDP(ctx context.Context, a *scratch.Arena, rects []Rect, edges int, maxStates int) ([]int, bool) {
 	n := len(rects)
-	a, release := scratch.Acquire(ctx)
-	defer release()
 	// CSR layout of "rectangles starting at edge e" (same per-edge order as
 	// appending in index order).
 	startOff := a.IntsZero(edges + 1)
@@ -203,9 +225,13 @@ func mwisPathDP(ctx context.Context, rects []Rect, edges int, maxStates int) ([]
 			}
 		}
 	}
-	entries := make([]dpEntry, 1, 256)
+	// The slab starts in the arena; a DP with more states outgrows it
+	// onto the heap.
+	entries := dpEntryKind.Make(a, 256)[:1]
 	entries[0] = dpEntry{prevIdx: -1} // virtual root before edge 0
-	idx := make(map[uint64]int32, 64)
+	// A layer holds at most 2^k states for k rectangles crossing an edge;
+	// sizing for n keeps the few-rectangle DPs of a sharded solve small.
+	idx := make(map[uint64]int32, n)
 	starterBuf := a.Ints(n)
 	// State under expansion, hoisted so the recursive closure is allocated
 	// once per call instead of once per state.
@@ -313,11 +339,10 @@ func mwisPathDP(ctx context.Context, rects []Rect, edges int, maxStates int) ([]
 	for i := bestIdx; i >= 0; i = int(entries[i].prevIdx) {
 		chosenMask |= entries[i].added
 	}
-	var chosen []int
+	chosen := a.Ints(bits.OnesCount64(chosenMask))[:0]
 	for m := chosenMask; m != 0; m &= m - 1 {
 		chosen = append(chosen, bits.TrailingZeros64(m))
 	}
-	sort.Ints(chosen)
 	return chosen, true
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"sapalloc/internal/model"
+	"sapalloc/internal/scratch"
 )
 
 // UFPPRelaxation builds the LP relaxation of program (1) in the paper for
@@ -43,11 +44,42 @@ func UFPPFractional(in *model.Instance) (x []float64, opt float64, err error) {
 
 // UFPPFractionalCtx is UFPPFractional under a context.
 func UFPPFractionalCtx(ctx context.Context, in *model.Instance) (x []float64, opt float64, err error) {
-	sol, err := SolveCtx(ctx, UFPPRelaxation(in))
+	a, release := scratch.Acquire(ctx)
+	defer release()
+	ax, opt, err := UFPPFractionalIn(ctx, a, in)
 	if err != nil {
+		return nil, 0, err
+	}
+	x = make([]float64, len(ax))
+	copy(x, ax)
+	return x, opt, nil
+}
+
+// UFPPFractionalIn is UFPPFractionalCtx for a caller that keeps the
+// fractional solution in its arena: the LP of UFPPRelaxation is written
+// straight into an arena tableau, and x is arena memory that lives until a
+// is reset.
+func UFPPFractionalIn(ctx context.Context, a *scratch.Arena, in *model.Instance) (x []float64, opt float64, err error) {
+	var tab tableau
+	tab.init(a, in.Edges(), len(in.Tasks))
+	for e, c := range in.Capacity {
+		if c < 0 {
+			return nil, 0, fmt.Errorf("ufpp relaxation: %w: rhs %d is negative (%d)", ErrMalformed, e, c)
+		}
+		tab.beta[e] = float64(c)
+	}
+	for j, t := range in.Tasks {
+		tab.c[j] = float64(t.Weight)
+		tab.upper[j] = 1
+		for e := t.Start; e < t.End; e++ {
+			tab.t[e*tab.total+j] = float64(t.Demand)
+		}
+	}
+	if _, err := tab.solve(ctx); err != nil {
 		return nil, 0, fmt.Errorf("ufpp relaxation: %w", err)
 	}
-	return sol.X, sol.Objective, nil
+	x = a.Float64s(len(in.Tasks))
+	return x, tab.primal(x), nil
 }
 
 // VerifyFeasible checks that x is feasible for p within tolerance tol; it

@@ -19,6 +19,7 @@ import (
 
 	"sapalloc/internal/faultinject"
 	"sapalloc/internal/saperr"
+	"sapalloc/internal/scratch"
 )
 
 // Problem describes max c·x s.t. A·x ≤ b, 0 ≤ x ≤ u. A is dense, row-major:
@@ -71,7 +72,9 @@ func Solve(p *Problem) (*Solution, error) {
 
 // SolveCtx is Solve under a context, polled once per pivot. Simplex has no
 // useful partial answer (an interior tableau is not primal optimal), so on
-// cancellation it returns a typed saperr.ErrCancelled and no solution.
+// cancellation it returns a typed saperr.ErrCancelled and no solution. The
+// tableau lives in the context's arena (a pooled one when it carries
+// none); the returned Solution is fresh memory.
 func SolveCtx(ctx context.Context, p *Problem) (*Solution, error) {
 	m := len(p.A)
 	if len(p.B) != m {
@@ -94,35 +97,77 @@ func SolveCtx(ctx context.Context, p *Problem) (*Solution, error) {
 			return nil, fmt.Errorf("%w: upper bound of column %d is negative (%g)", ErrMalformed, j, u)
 		}
 	}
-
-	// Tableau over n structural + m slack columns. T is B^-1 A (m x total),
-	// beta = current basic values, d = reduced costs, basisOf maps rows to
-	// variable indices.
-	total := n + m
-	T := make([][]float64, m)
-	for i := range T {
-		T[i] = make([]float64, total)
-		copy(T[i], p.A[i])
-		T[i][n+i] = 1
+	a, release := scratch.Acquire(ctx)
+	defer release()
+	var tab tableau
+	tab.init(a, m, n)
+	for i, row := range p.A {
+		copy(tab.row(i), row)
 	}
-	beta := append([]float64(nil), p.B...)
-	d := make([]float64, total)
-	copy(d, p.C)
-	obj := 0.0
+	copy(tab.beta, p.B)
+	copy(tab.c, p.C)
+	copy(tab.upper, p.U)
+	iters, err := tab.solve(ctx)
+	if err != nil {
+		return nil, err
+	}
+	x := make([]float64, n)
+	dual := make([]float64, m)
+	return &Solution{X: x, Objective: tab.primal(x), Dual: tab.duals(dual), Iterations: iters}, nil
+}
 
-	stat := make([]status, total)
-	upper := make([]float64, total)
-	for j := 0; j < n; j++ {
-		upper[j] = p.U[j]
+// tableau is the simplex state over n structural and m slack columns, all
+// in arena memory. t is B^-1 A (m × (n+m), row-major), beta the current
+// basic values, d the reduced costs and basisOf maps rows to variable
+// indices. init sets up the all-slack basis of max c·x s.t. A·x ≤ b,
+// 0 ≤ x ≤ u with A, b, c and u zero; the caller fills the structural
+// columns of t and the first n entries of c and upper, and beta with b.
+type tableau struct {
+	m, n, total int
+	t           []float64
+	beta        []float64
+	c           []float64 // the objective, len n
+	d           []float64
+	upper       []float64
+	stat        []status
+	basisOf     []int
+}
+
+// statusKind poisons with a status that is none of the three.
+var statusKind = scratch.NewKind(status(0x5A))
+
+func (tab *tableau) init(a *scratch.Arena, m, n int) {
+	total := n + m
+	*tab = tableau{
+		m: m, n: n, total: total,
+		t:       a.Float64sZero(m * total),
+		beta:    a.Float64sZero(m),
+		c:       a.Float64sZero(n),
+		d:       a.Float64s(total),
+		upper:   a.Float64sZero(total),
+		stat:    statusKind.MakeZero(a, total), // atLower
+		basisOf: a.Ints(m),
+	}
+	for i := 0; i < m; i++ {
+		tab.t[i*total+n+i] = 1
+		tab.basisOf[i] = n + i
+		tab.stat[n+i] = basic
 	}
 	for j := n; j < total; j++ {
-		upper[j] = math.Inf(1)
+		tab.upper[j] = math.Inf(1)
 	}
-	basisOf := make([]int, m)
-	for i := range basisOf {
-		basisOf[i] = n + i
-		stat[n+i] = basic
-	}
+}
+
+// row returns the structural part of row i of t.
+func (tab *tableau) row(i int) []float64 { return tab.t[i*tab.total : i*tab.total+tab.n] }
+
+// solve pivots to optimality and returns the pivot count.
+func (tab *tableau) solve(ctx context.Context) (int, error) {
+	m, n, total := tab.m, tab.n, tab.total
+	T, beta, d, upper, stat, basisOf := tab.t, tab.beta, tab.d, tab.upper, tab.stat, tab.basisOf
+	copy(d, tab.c)
+	clear(d[n:])
+	obj := 0.0
 	// value of each nonbasic variable (0 at lower, upper[j] at upper).
 	nbVal := func(j int) float64 {
 		if stat[j] == atUpper {
@@ -139,11 +184,11 @@ func SolveCtx(ctx context.Context, p *Problem) (*Solution, error) {
 		if iters&63 == 0 {
 			faultinject.Fire(ctx, "lp/simplex/pivot")
 			if err := saperr.FromContext(ctx); err != nil {
-				return nil, err
+				return iters, err
 			}
 		}
 		if iters > maxIter {
-			return nil, fmt.Errorf("lp: iteration limit %d exceeded", maxIter)
+			return iters, fmt.Errorf("lp: iteration limit %d exceeded", maxIter)
 		}
 		useBland := degenerate > 2*(total+1)
 
@@ -187,7 +232,7 @@ func SolveCtx(ctx context.Context, p *Problem) (*Solution, error) {
 		leave := -1
 		leaveAt := atLower
 		for i := 0; i < m; i++ {
-			a := sign * T[i][enter]
+			a := sign * T[i*total+enter]
 			bi := basisOf[i]
 			var lim float64
 			var hitsUpper bool
@@ -223,7 +268,7 @@ func SolveCtx(ctx context.Context, p *Problem) (*Solution, error) {
 			}
 		}
 		if math.IsInf(tMax, 1) {
-			return nil, ErrUnbounded
+			return iters, ErrUnbounded
 		}
 		if tMax < eps {
 			degenerate++
@@ -235,7 +280,7 @@ func SolveCtx(ctx context.Context, p *Problem) (*Solution, error) {
 			// Bound flip: entering variable moves across its whole range.
 			t := tMax
 			for i := 0; i < m; i++ {
-				beta[i] -= t * sign * T[i][enter]
+				beta[i] -= t * sign * T[i*total+enter]
 			}
 			obj += t * sign * d[enter]
 			if stat[enter] == atLower {
@@ -248,12 +293,12 @@ func SolveCtx(ctx context.Context, p *Problem) (*Solution, error) {
 
 		// Pivot: entering becomes basic in row leave.
 		t := tMax
-		piv := T[leave][enter]
+		piv := T[leave*total+enter]
 		// New value of entering variable.
 		enterVal := nbVal(enter) + sign*t
 		// Update beta for all rows, then fix row leave to enterVal.
 		for i := 0; i < m; i++ {
-			beta[i] -= t * sign * T[i][enter]
+			beta[i] -= t * sign * T[i*total+enter]
 		}
 		obj += t * sign * d[enter]
 
@@ -264,57 +309,63 @@ func SolveCtx(ctx context.Context, p *Problem) (*Solution, error) {
 
 		// Row reduce: make column 'enter' a unit vector with 1 in row leave.
 		invPiv := 1.0 / piv
-		for j := 0; j < total; j++ {
-			T[leave][j] *= invPiv
+		pivRow := T[leave*total : (leave+1)*total]
+		for j := range pivRow {
+			pivRow[j] *= invPiv
 		}
 		beta[leave] = enterVal
 		for i := 0; i < m; i++ {
 			if i == leave {
 				continue
 			}
-			f := T[i][enter]
+			rowI := T[i*total : (i+1)*total]
+			f := rowI[enter]
 			if f == 0 {
 				continue
 			}
-			for j := 0; j < total; j++ {
-				T[i][j] -= f * T[leave][j]
+			for j := range rowI {
+				rowI[j] -= f * pivRow[j]
 			}
 		}
 		f := d[enter]
 		if f != 0 {
 			for j := 0; j < total; j++ {
-				d[j] -= f * T[leave][j]
+				d[j] -= f * pivRow[j]
 			}
 		}
 	}
+	return iters, nil
+}
 
-	// Extract primal solution.
-	x := make([]float64, n)
-	for j := 0; j < n; j++ {
-		switch stat[j] {
-		case atUpper:
-			x[j] = upper[j]
-		case atLower:
-			x[j] = 0
+// primal writes the optimal point into x (len n) and returns its
+// objective, recomputed from x for numerical hygiene.
+func (tab *tableau) primal(x []float64) float64 {
+	for j := range x {
+		x[j] = 0
+		if tab.stat[j] == atUpper {
+			x[j] = tab.upper[j]
 		}
 	}
-	for i, bi := range basisOf {
-		if bi < n {
-			x[bi] = beta[i]
+	for i, bi := range tab.basisOf {
+		if bi < tab.n {
+			x[bi] = tab.beta[i]
 		}
 	}
-	// Duals: y_i = -d[slack_i] (reduced cost of slack i is -y_i for max LPs).
-	dual := make([]float64, m)
-	for i := 0; i < m; i++ {
-		dual[i] = -d[n+i]
+	objX := 0.0
+	for j, v := range x {
+		objX += tab.c[j] * v
+	}
+	return objX
+}
+
+// duals writes the row duals into dual (len m) and returns it:
+// y_i = -d[slack_i] (reduced cost of slack i is -y_i for max LPs).
+func (tab *tableau) duals(dual []float64) []float64 {
+	for i := range dual {
+		dual[i] = -tab.d[tab.n+i]
 		if dual[i] < 0 && dual[i] > -1e-7 {
 			dual[i] = 0
 		}
 	}
-	// Recompute objective from x for numerical hygiene.
-	objX := 0.0
-	for j := 0; j < n; j++ {
-		objX += p.C[j] * x[j]
-	}
-	return &Solution{X: x, Objective: objX, Dual: dual, Iterations: iters}, nil
+	return dual
 }

@@ -207,6 +207,40 @@ func TestUFPPRelaxation(t *testing.T) {
 	}
 }
 
+// UFPPFractional writes the LP of UFPPRelaxation straight into its
+// tableau; solving the relaxation as a Problem must give the same point
+// and objective, bit for bit, because both run the same pivots.
+func TestUFPPFractionalMatchesRelaxation(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 200; trial++ {
+		m := 1 + r.Intn(12)
+		in := &model.Instance{Capacity: make([]int64, m)}
+		for e := range in.Capacity {
+			in.Capacity[e] = 1 + r.Int63n(64)
+		}
+		for j := 0; j < r.Intn(30); j++ {
+			s := r.Intn(m)
+			in.Tasks = append(in.Tasks, model.Task{ID: j, Start: s, End: s + 1 + r.Intn(m-s), Demand: 1 + r.Int63n(32), Weight: r.Int63n(100)})
+		}
+		x, opt, err := UFPPFractional(in)
+		if err != nil {
+			t.Fatalf("trial %d: UFPPFractional: %v", trial, err)
+		}
+		sol, err := Solve(UFPPRelaxation(in))
+		if err != nil {
+			t.Fatalf("trial %d: Solve: %v", trial, err)
+		}
+		if opt != sol.Objective || len(x) != len(sol.X) {
+			t.Fatalf("trial %d: UFPPFractional %g over %d tasks, Solve %g over %d", trial, opt, len(x), sol.Objective, len(sol.X))
+		}
+		for j := range x {
+			if x[j] != sol.X[j] {
+				t.Fatalf("trial %d: x[%d] = %g, Solve has %g", trial, j, x[j], sol.X[j])
+			}
+		}
+	}
+}
+
 func TestUFPPRelaxationFractionalGap(t *testing.T) {
 	// Knapsack-like shared edge: two tasks each demand 3, capacity 4; LP
 	// packs x=(1, 1/3) for weights (3,3) → 4; integral optimum 3.

@@ -18,12 +18,13 @@
 package mediumsap
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"sapalloc/internal/exact"
 	"sapalloc/internal/faultinject"
@@ -116,6 +117,10 @@ func Solve(in *model.Instance, p Params) (*Result, error) {
 // cancellation and degrade to their feasible incumbents (exact →
 // approximate); a class that fails outright is dropped and recorded in
 // ClassErrs. A typed error is returned only when no class completed.
+//
+// The class task lists, the class sub-instances and the elevated class
+// solutions live in the context's arena (a pooled one when it carries
+// none); only the winning residue's stack is built as a fresh Solution.
 func SolveCtx(ctx context.Context, in *model.Instance, p Params) (*Result, error) {
 	p = p.withDefaults()
 	if err := saperr.FromContext(ctx); err != nil {
@@ -131,104 +136,147 @@ func SolveCtx(ctx context.Context, in *model.Instance, p Params) (*Result, error
 		res.Solution = &model.Solution{}
 		return res, nil
 	}
+	ctx, a, release := scratch.Attach(ctx)
+	defer release()
 
 	// Assign every task to its ℓ classes: k with 2^k ≤ b(j) < 2^{k+ℓ}, i.e.
-	// k ∈ { floor(log2 b) − ℓ + 1, …, floor(log2 b) }, clamped at 0 (b ≥ 1).
-	classTasks := map[int][]model.Task{}
+	// k ∈ { floor(log2 b) − ℓ + 1, …, floor(log2 b) }. k may be negative
+	// when b < 2^{ℓ−1}; lambda and the clip in elevate handle that.
+	// Class k − kLo holds classTasks[first[k−kLo]:first[k−kLo+1]], in task
+	// order.
+	tops := a.Ints(len(in.Tasks))
 	bot := in.BottleneckFunc()
-	for _, t := range in.Tasks {
-		b := bot(t)
-		top := floorLog2(b)
+	kLo, kHi := math.MaxInt, math.MinInt
+	for i, t := range in.Tasks {
+		tops[i] = floorLog2(bot(t))
+		kLo, kHi = min(kLo, tops[i]-ell+1), max(kHi, tops[i])
+	}
+	first := a.IntsZero(kHi - kLo + 2)
+	for _, top := range tops {
 		for k := top - ell + 1; k <= top; k++ {
-			classTasks[k] = append(classTasks[k], t)
+			first[k-kLo+1]++
 		}
 	}
-	ks := make([]int, 0, len(classTasks))
-	for k := range classTasks {
-		ks = append(ks, k)
+	nk := 0
+	for _, size := range first {
+		if size > 0 {
+			nk++
+		}
 	}
-	sort.Ints(ks)
+	ks := a.Ints(nk)[:0]
+	for c := 1; c < len(first); c++ {
+		if first[c] > 0 {
+			ks = append(ks, kLo+c-1)
+		}
+		first[c] += first[c-1]
+	}
+	classTasks := a.Tasks(first[len(first)-1])
+	fill := a.Ints(len(first))
+	copy(fill, first)
+	for i, t := range in.Tasks {
+		for k := tops[i] - ell + 1; k <= tops[i]; k++ {
+			classTasks[fill[k-kLo]] = t
+			fill[k-kLo]++
+		}
+	}
+	// A class's elevated solution takes at most one placement per task,
+	// so class k gets the placement range of its tasks.
+	classItems := a.Placements(len(classTasks))
 
 	// Per class: elevated 2-approximate solutions, solved concurrently —
 	// the classes are independent sub-instances. Slots are caller-owned so
 	// classes that completed before a cancellation survive into the stack.
 	type classOut struct {
-		sol      *model.Solution
+		items    []model.Placement
+		ran      bool
 		degraded bool
 		err      error
 	}
 	outs := make([]classOut, len(ks))
+	// A single worker runs the classes one after another on the arena of
+	// ctx. Concurrent workers each take their own arena; they only read
+	// the class lists and write their own placement ranges of it.
+	concurrent := par.Workers(p.Workers, len(ks)) > 1
 	_ = par.ForEachCtx(ctx, len(ks), p.Workers, func(i int) error {
 		k := ks[i]
-		sol, degraded, err := func() (sol *model.Solution, degraded bool, err error) {
+		lo, hi := first[k-kLo], first[k-kLo+1]
+		items, degraded, err := func() (items []model.Placement, degraded bool, err error) {
 			defer saperr.Contain(&err)
-			// Per-class worker: own arena (classes run concurrently and the
-			// exact search below grabs all its buffers from it).
-			a := scratch.Get()
-			defer scratch.Put(a)
-			classCtx, endClass := obs.StartSpanTrack(scratch.With(ctx, a), "mediumsap/class")
+			classCtx := ctx
+			if concurrent {
+				ca := scratch.Get()
+				defer scratch.Put(ca)
+				classCtx = scratch.With(ctx, ca)
+			}
+			classCtx, endClass := obs.StartSpanTrack(classCtx, "mediumsap/class")
 			defer endClass()
 			faultinject.Fire(classCtx, "mediumsap/class")
-			return ElevatorCtx(classCtx, in, classTasks[k], k, ell, p)
+			return elevate(classCtx, in.Capacity, classTasks[lo:hi], k, ell, p, classItems[lo:lo:hi])
 		}()
 		if err != nil {
-			outs[i] = classOut{err: fmt.Errorf("mediumsap: class k=%d: %w", k, err)}
+			outs[i] = classOut{ran: true, err: fmt.Errorf("mediumsap: class k=%d: %w", k, err)}
 			return nil
 		}
-		outs[i] = classOut{sol: sol, degraded: degraded}
+		outs[i] = classOut{items: items, ran: true, degraded: degraded}
 		return nil
 	})
-	classSols := map[int]*model.Solution{}
+
+	// Residue classes K(r) = K ∩ { r + i(ℓ+q) }. Classes of one residue
+	// are ℓ+q apart and so share no task: a residue's stack weighs the sum
+	// of its class weights, and only the heaviest residue is built.
+	period := ell + q
+	residueWeight := a.Int64sZero(period)
 	completed := 0
 	for i, k := range ks {
 		out := outs[i]
-		if out.err != nil {
+		switch {
+		case out.err != nil:
 			res.Degraded = true
 			res.ClassErrs = append(res.ClassErrs, out.err)
-			classSols[k] = &model.Solution{}
-			res.Classes[k] = 0
-			continue
-		}
-		if out.sol == nil {
+		case !out.ran:
 			// Slot never ran: dispatch stopped by cancellation.
 			res.Degraded = true
 			res.ClassErrs = append(res.ClassErrs, saperr.Cancelled(ctx.Err()))
-			classSols[k] = &model.Solution{}
-			res.Classes[k] = 0
-			continue
-		}
-		completed++
-		if out.degraded {
-			res.Degraded = true
-		}
-		classSols[k] = out.sol
-		res.Classes[k] = out.sol.Weight()
-	}
-	if len(ks) > 0 && completed == 0 {
-		return nil, fmt.Errorf("mediumsap: no class completed: %w", res.ClassErrs[0])
-	}
-
-	// Residue classes K(r) = K ∩ { r + i(ℓ+q) }.
-	period := ell + q
-	var best *model.Solution
-	bestR := 0
-	for r := 0; r < period; r++ {
-		merged := &model.Solution{}
-		for _, k := range ks {
-			if ((k-r)%period+period)%period == 0 {
-				// Merge copies placement values; the class solution is not
-				// retained or mutated, so no defensive Clone is needed.
-				merged.Merge(classSols[k])
+		default:
+			completed++
+			if out.degraded {
+				res.Degraded = true
 			}
 		}
-		if best == nil || merged.Weight() > best.Weight() {
-			best = merged
-			bestR = r
+		w := (&model.Solution{Items: out.items}).Weight()
+		res.Classes[k] = w
+		residueWeight[residue(k, period)] += w
+	}
+	if completed == 0 {
+		return nil, fmt.Errorf("mediumsap: no class completed: %w", res.ClassErrs[0])
+	}
+	for r := 1; r < period; r++ {
+		if residueWeight[r] > residueWeight[res.Residue] {
+			res.Residue = r
+		}
+	}
+	placed := 0
+	for i, k := range ks {
+		if residue(k, period) == res.Residue {
+			placed += len(outs[i].items)
+		}
+	}
+	best := &model.Solution{}
+	if placed > 0 {
+		best.Items = make([]model.Placement, 0, placed)
+	}
+	for i, k := range ks {
+		if residue(k, period) == res.Residue {
+			best.Items = append(best.Items, outs[i].items...)
 		}
 	}
 	res.Solution = best.SortByID()
-	res.Residue = bestR
 	return res, nil
+}
+
+// residue returns k mod period in [0, period), for negative k as well.
+func residue(k, period int) int {
+	return ((k % period) + period) % period
 }
 
 // Elevator computes a β-elevated 2-approximate SAP solution for the class
@@ -249,24 +297,44 @@ func Elevator(in *model.Instance, tasks []model.Task, k, ell int, p Params) (*mo
 // incumbent is seeded with a greedy packing, so a cancelled class still
 // contributes a solution.
 func ElevatorCtx(ctx context.Context, in *model.Instance, tasks []model.Task, k, ell int, p Params) (sol *model.Solution, degraded bool, err error) {
-	p = p.withDefaults()
+	items, degraded, err := elevate(ctx, in.Capacity, tasks, k, ell, p.withDefaults(), nil)
+	if err != nil {
+		return nil, false, err
+	}
+	if len(items) == 0 {
+		items = nil // an empty solution has nil Items, like every other solver's
+	}
+	return &model.Solution{Items: items}, degraded, nil
+}
+
+// elevate is ElevatorCtx on the capacity profile of the whole instance. It
+// appends the elevated class solution to dst, in task order, and returns
+// the extended slice; the class sub-instance lives in the context's arena.
+func elevate(ctx context.Context, capacity []int64, tasks []model.Task, k, ell int, p Params, dst []model.Placement) (items []model.Placement, degraded bool, err error) {
+	a, release := scratch.Acquire(ctx)
+	defer release()
 	// The exact search takes at most MaxTasks tasks, so a larger class is
 	// cut to its MaxTasks heaviest: a feasible best effort, degraded like a
 	// truncated search.
 	degraded = len(tasks) > exact.MaxTasks
 	if degraded {
-		tasks = heaviest(tasks, exact.MaxTasks)
+		tasks = heaviest(tasks, exact.MaxTasks, a)
 	}
-	classIn := in.Restrict(tasks)
+	classIn := model.Instance{Capacity: capacity, Tasks: tasks}
 	if k+ell >= 0 && k+ell < 62 {
-		classIn = classIn.ClipCapacities(int64(1) << uint(k+ell))
+		hi := int64(1) << uint(k+ell)
+		classIn.Capacity = a.Int64s(len(capacity))
+		for e, c := range capacity {
+			classIn.Capacity[e] = min(c, hi)
+		}
 	}
 	exactCtx, endExact := obs.StartSpan(ctx, "mediumsap/exact")
-	opt, err := exact.SolveSAPCtx(exactCtx, classIn, p.Exact)
+	opt, err := exact.AppendSAPCtx(exactCtx, dst, &classIn, p.Exact)
 	endExact()
-	if errors.Is(err, exact.ErrBudget) || (saperr.IsCancelled(err) && opt != nil) {
+	if errors.Is(err, exact.ErrBudget) || saperr.IsCancelled(err) {
 		// The class was too large to prove optimality within the node
-		// budget (or its time slice); the incumbent is still feasible, so
+		// budget (or its time slice); the incumbent in opt, which a search
+		// cut short always leaves, is still feasible, so
 		// the pipeline degrades gracefully from the proven 2-approximation
 		// to a best-effort solution (the experiment harness reports
 		// measured ratios either way). This mirrors the paper's reliance
@@ -281,30 +349,48 @@ func ElevatorCtx(ctx context.Context, in *model.Instance, tasks []model.Task, k,
 	if degraded {
 		obs.ExactFallbacks.Inc()
 	}
-	lo, hi := ElevatePartition(opt, k, p.BetaNum, p.BetaDen)
-	if lo.Weight() >= hi.Weight() {
-		return lo, degraded, nil
+	// Lemma 14's halves, as in ElevatePartition; the heavier (the lifted
+	// one on ties) is chosen by weight and then compacted in place.
+	num, den := lambda(k, p.BetaNum, p.BetaDen)
+	var liftedW, keptW int64
+	for _, pl := range opt[len(dst):] {
+		if lifts(pl, num, den) {
+			liftedW += pl.Task.Weight
+		} else {
+			keptW += pl.Task.Weight
+		}
 	}
-	return hi, degraded, nil
+	lift := liftedW >= keptW
+	ceilLam := (num + den - 1) / den
+	items = opt[:len(dst)]
+	for _, pl := range opt[len(dst):] {
+		if lifts(pl, num, den) == lift {
+			if lift {
+				pl.Height += ceilLam
+			}
+			items = append(items, pl)
+		}
+	}
+	return items, degraded, nil
 }
 
 // heaviest returns the k heaviest of the tasks (ties to the lower ID) in
-// their given order.
-func heaviest(tasks []model.Task, k int) []model.Task {
-	order := make([]int, len(tasks))
+// their given order, in arena memory.
+func heaviest(tasks []model.Task, k int, a *scratch.Arena) []model.Task {
+	order := a.Ints(len(tasks))
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool {
-		ta, tb := tasks[order[a]], tasks[order[b]]
-		if ta.Weight != tb.Weight {
-			return ta.Weight > tb.Weight
+	slices.SortFunc(order, func(i, j int) int {
+		ti, tj := tasks[i], tasks[j]
+		if ti.Weight != tj.Weight {
+			return cmp.Compare(tj.Weight, ti.Weight)
 		}
-		return ta.ID < tb.ID
+		return cmp.Compare(ti.ID, tj.ID)
 	})
 	keep := order[:k]
-	sort.Ints(keep)
-	out := make([]model.Task, k)
+	slices.Sort(keep)
+	out := a.Tasks(k)
 	for i, j := range keep {
 		out[i] = tasks[j]
 	}
@@ -322,7 +408,7 @@ func ElevatePartition(sol *model.Solution, k int, betaNum, betaDen int64) (lifte
 	num, den := lambda(k, betaNum, betaDen)
 	ceilLam := (num + den - 1) / den
 	for _, pl := range sol.Items {
-		if pl.Height*den < num {
+		if lifts(pl, num, den) {
 			pl.Height += ceilLam
 			lifted.Items = append(lifted.Items, pl)
 		} else {
@@ -331,6 +417,9 @@ func ElevatePartition(sol *model.Solution, k int, betaNum, betaDen int64) (lifte
 	}
 	return lifted, kept
 }
+
+// lifts reports whether Lemma 14 lifts the placement: h(j) < λ = num/den.
+func lifts(pl model.Placement, num, den int64) bool { return pl.Height*den < num }
 
 // lambda returns λ = β·2^k as the exact rational num/den, valid for
 // negative k as well.

@@ -15,9 +15,11 @@
 package model
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"sapalloc/internal/saperr"
@@ -291,12 +293,13 @@ func (in *Instance) Uniform() bool {
 // path). The tasks must belong to the instance's path.
 //
 // The capacity slice is SHARED with the receiver, not copied — a copy-on-
-// write contract, not an implementation detail: the combined pipeline
-// restricts the same instance once per arm and once per class, the shard
-// decomposition layer windows it once per shard (SubPath), and re-copying
-// the profile each time dominated the partition cost. Capacity slices are
-// read-only throughout the library; code that needs to modify capacities
-// must go through ClipCapacities or Clone, which allocate fresh slices.
+// write contract, not an implementation detail: the shard decomposition
+// layer windows an instance once per shard (SubPath), the combined
+// pipeline builds its per-arm sub-instances on the same profile, and
+// re-copying the profile each time dominated the partition cost. Capacity
+// slices are read-only throughout the library; code that needs to modify
+// capacities must go through ClipCapacities or Clone, which allocate fresh
+// slices, or write a clipped copy into its own scratch memory.
 // TestRestrictSharesCapacity and difftest's shard suite pin this contract:
 // a restricted or sharded solve must never mutate the parent's capacities.
 func (in *Instance) Restrict(tasks []Task) *Instance {
@@ -396,17 +399,12 @@ func (s *Solution) Lift(delta int64) *Solution {
 	return s
 }
 
-// Merge appends the placements of other into s and returns s. The caller is
-// responsible for the union remaining feasible (e.g. via disjoint vertical
-// bands as in Strip-Pack).
-func (s *Solution) Merge(other *Solution) *Solution {
-	s.Items = append(s.Items, other.Items...)
-	return s
-}
-
 // SortByID orders the placements by task ID (for deterministic output).
+// slices.SortFunc runs the same pdqsort as sort.Slice, so placements with
+// equal IDs end up where sort.Slice put them, without its reflection
+// allocations.
 func (s *Solution) SortByID() *Solution {
-	sort.Slice(s.Items, func(i, j int) bool { return s.Items[i].Task.ID < s.Items[j].Task.ID })
+	slices.SortFunc(s.Items, func(p, q Placement) int { return cmp.Compare(p.Task.ID, q.Task.ID) })
 	return s
 }
 

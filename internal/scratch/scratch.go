@@ -26,12 +26,19 @@
 // initialise what they read. SetPoison(true) makes Get and Put overwrite
 // all retained chunks with a sentinel pattern, so tests catch both
 // stale-buffer reads (assuming zeroed memory) and use-after-Put escapes.
+//
+// Besides its built-in slabs (integers, floats, booleans, tasks and
+// placements) an Arena hands out any element type a package registers as a
+// Kind, so solver-private records live in the arena too.
 package scratch
 
 import (
 	"context"
+	"math"
 	"sync"
 	"sync/atomic"
+
+	"sapalloc/internal/model"
 )
 
 // minChunk is the smallest chunk a slab allocates, in elements.
@@ -94,11 +101,15 @@ func poison[T any](s *slab[T], v T) {
 // Arena is a per-solve scratch allocator. The zero value is ready to use;
 // prefer Get/Put so chunk memory is recycled across solves.
 type Arena struct {
-	i64  slab[int64]
-	i32  slab[int32]
-	ints slab[int]
-	b    slab[bool]
-	u64  slab[uint64]
+	i64   slab[int64]
+	i32   slab[int32]
+	ints  slab[int]
+	b     slab[bool]
+	u64   slab[uint64]
+	f64   slab[float64]
+	tasks slab[model.Task]
+	pls   slab[model.Placement]
+	kinds []kindSlab // indexed by Kind id; nil until the kind is first used
 }
 
 // Int64s returns a length-n scratch slice with arbitrary contents.
@@ -131,6 +142,18 @@ func (a *Arena) Uint64s(n int) []uint64 { return grab(&a.u64, n) }
 // Uint64sZero returns a length-n zeroed scratch slice.
 func (a *Arena) Uint64sZero(n int) []uint64 { return grabZero(&a.u64, n) }
 
+// Float64s returns a length-n scratch slice with arbitrary contents.
+func (a *Arena) Float64s(n int) []float64 { return grab(&a.f64, n) }
+
+// Float64sZero returns a length-n zeroed scratch slice.
+func (a *Arena) Float64sZero(n int) []float64 { return grabZero(&a.f64, n) }
+
+// Tasks returns a length-n scratch slice with arbitrary contents.
+func (a *Arena) Tasks(n int) []model.Task { return grab(&a.tasks, n) }
+
+// Placements returns a length-n scratch slice with arbitrary contents.
+func (a *Arena) Placements(n int) []model.Placement { return grab(&a.pls, n) }
+
 // Reset rewinds every slab so all previously grabbed slices are up for
 // reuse. Grabbed slices must not be used afterwards.
 func (a *Arena) Reset() {
@@ -139,18 +162,94 @@ func (a *Arena) Reset() {
 	reset(&a.ints)
 	reset(&a.b)
 	reset(&a.u64)
+	reset(&a.f64)
+	reset(&a.tasks)
+	reset(&a.pls)
+	for _, k := range a.kinds {
+		if k != nil {
+			k.reset()
+		}
+	}
 }
 
 // Poison overwrites every retained chunk with the sentinel pattern. Tests
 // use it (via SetPoison) to surface code that reads scratch memory it never
-// initialised or that escaped a solve.
+// initialised or that escaped a solve. Floats are poisoned with a NaN,
+// which fails every comparison and spreads through arithmetic.
 func (a *Arena) Poison() {
 	poison(&a.i64, int64(-0x5A5A5A5A5A5A5A5B)) // 0xA5A5... as int64
 	poison(&a.i32, int32(-0x5A5A5A5B))
 	poison(&a.ints, int(-0x5A5A5A5B))
 	poison(&a.b, true)
 	poison(&a.u64, uint64(0xA5A5A5A5A5A5A5A5))
+	poison(&a.f64, math.Float64frombits(0x7FFA5A5A5A5A5A5A))
+	poison(&a.tasks, poisonTask)
+	poison(&a.pls, model.Placement{Task: poisonTask, Height: -0x5A5A5A5A5A5A5A5B})
+	for _, k := range a.kinds {
+		if k != nil {
+			k.poison()
+		}
+	}
 }
+
+// poisonTask is an invalid task: negative ID, an empty reversed interval
+// and negative demand and weight.
+var poisonTask = model.Task{
+	ID: -0x5A5A5A5B, Start: 0x5A5A5A5A, End: -0x5A5A5A5B,
+	Demand: -0x5A5A5A5A5A5A5A5B, Weight: -0x5A5A5A5A5A5A5A5B,
+}
+
+// Kind is an element type an Arena hands out beyond its built-in slabs.
+// Packages declare their kinds once, as package-level variables, and grab
+// with Make like with the built-in slabs; every Arena keeps one slab per
+// kind. Kinds are meant for plain records: chunks are retained by the pool,
+// so an element pointing outside the arena keeps that memory alive until
+// it is overwritten.
+type Kind[T any] struct {
+	id     int
+	poison T
+}
+
+var kindCount atomic.Int32
+
+// NewKind registers an element type. SetPoison fills its chunks with the
+// poison value, which should be a record no solver would ever build.
+func NewKind[T any](poison T) *Kind[T] {
+	return &Kind[T]{id: int(kindCount.Add(1)) - 1, poison: poison}
+}
+
+// Make returns a length-n slice of the kind from the arena, with arbitrary
+// contents.
+func (k *Kind[T]) Make(a *Arena, n int) []T { return grab(k.slab(a), n) }
+
+// MakeZero is Make with the slice cleared.
+func (k *Kind[T]) MakeZero(a *Arena, n int) []T { return grabZero(k.slab(a), n) }
+
+func (k *Kind[T]) slab(a *Arena) *slab[T] {
+	for len(a.kinds) <= k.id {
+		a.kinds = append(a.kinds, nil)
+	}
+	s, ok := a.kinds[k.id].(*typedSlab[T])
+	if !ok {
+		s = &typedSlab[T]{poisonValue: k.poison}
+		a.kinds[k.id] = s
+	}
+	return &s.slab
+}
+
+// kindSlab is the arena's view of one kind's slab.
+type kindSlab interface {
+	reset()
+	poison()
+}
+
+type typedSlab[T any] struct {
+	slab[T]
+	poisonValue T
+}
+
+func (s *typedSlab[T]) reset()  { reset(&s.slab) }
+func (s *typedSlab[T]) poison() { poison(&s.slab, s.poisonValue) }
 
 var pool = sync.Pool{New: func() any { return new(Arena) }}
 
@@ -204,6 +303,16 @@ func With(ctx context.Context, a *Arena) context.Context {
 func From(ctx context.Context) (*Arena, bool) {
 	a, ok := ctx.Value(ctxKey{}).(*Arena)
 	return a, ok
+}
+
+// Attach is Acquire for a caller that also hands the arena down: the
+// returned context carries it, and release is a no-op when ctx already did.
+func Attach(ctx context.Context) (context.Context, *Arena, func()) {
+	if a, ok := From(ctx); ok {
+		return ctx, a, func() {}
+	}
+	a := Get()
+	return With(ctx, a), a, func() { Put(a) }
 }
 
 // Acquire returns the context's arena when one is attached (release is a

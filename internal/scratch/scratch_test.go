@@ -2,6 +2,7 @@ package scratch
 
 import (
 	"context"
+	"math"
 	"testing"
 )
 
@@ -164,5 +165,58 @@ func TestSteadyStateAllocFree(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("steady-state grabs allocate %.1f times per run, want 0", avg)
+	}
+}
+
+type record struct {
+	id    int
+	value int64
+}
+
+var recordKind = NewKind(record{id: -1, value: -1})
+
+// TestKindSlab pins the kind contract: a kind's slices come from the
+// arena like the built-in ones, are recycled by Reset, zeroed by MakeZero
+// and overwritten with the kind's poison value by Poison.
+func TestKindSlab(t *testing.T) {
+	var a Arena
+	x := recordKind.Make(&a, 10)
+	y := recordKind.Make(&a, 20)
+	if len(x) != 10 || cap(x) != 10 || len(y) != 20 {
+		t.Fatalf("len/cap = %d/%d and %d", len(x), cap(x), len(y))
+	}
+	x[0] = record{id: 7, value: 8}
+	y[0] = record{id: 9}
+	if x[0].id != 7 {
+		t.Fatal("grabs of one kind overlap")
+	}
+	a.Reset()
+	if z := recordKind.MakeZero(&a, 10); &z[0] != &x[0] || z[0] != (record{}) {
+		t.Fatalf("Reset did not recycle the kind's chunk, or MakeZero did not clear it: %v", z[0])
+	}
+	a.Poison()
+	if x[0] != (record{id: -1, value: -1}) {
+		t.Fatalf("Poison left %v, want the kind's poison value", x[0])
+	}
+	if avg := testing.AllocsPerRun(100, func() {
+		a.Reset()
+		_ = recordKind.Make(&a, 30)
+	}); avg != 0 && !RaceEnabled {
+		t.Fatalf("steady-state kind grabs allocate %.1f times per run, want 0", avg)
+	}
+}
+
+// TestModelAndFloatSlabsPoison checks the poison patterns of the float,
+// task and placement slabs: a NaN fails every comparison, and a poisoned
+// task has an empty reversed interval.
+func TestModelAndFloatSlabsPoison(t *testing.T) {
+	var a Arena
+	f, tasks, pls := a.Float64sZero(4), a.Tasks(4), a.Placements(4)
+	a.Poison()
+	if !math.IsNaN(f[0]) {
+		t.Fatalf("poisoned float = %g, want NaN", f[0])
+	}
+	if tasks[0].Start < tasks[0].End || pls[0].Task.Start < pls[0].Task.End {
+		t.Fatalf("poisoned task %v and placement %v have a valid interval", tasks[0], pls[0])
 	}
 }

@@ -15,8 +15,8 @@ package smallsap
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/bits"
-	"sort"
 
 	"sapalloc/internal/dsa"
 	"sapalloc/internal/faultinject"
@@ -96,57 +96,98 @@ func Solve(in *model.Instance, p Params) (*Result, error) {
 // into a feasible partial result with Degraded set; a per-class panic or
 // error is contained, recorded in ClassErrs, and degrades that class only.
 // A typed error is returned only when no class completed.
+//
+// The class task lists, the class sub-instances and the class strips live
+// in the context's arena (a pooled one when it carries none); only the
+// merged solution and the reports are fresh memory.
 func SolveCtx(ctx context.Context, in *model.Instance, p Params) (*Result, error) {
 	if err := saperr.FromContext(ctx); err != nil {
 		return nil, err
 	}
 	res := &Result{Solution: &model.Solution{}}
-	classes := map[int][]model.Task{}
+	if len(in.Tasks) == 0 {
+		return res, nil
+	}
+	ctx, a, release := scratch.Attach(ctx)
+	defer release()
+	// Class t − tLo holds classTasks[first[t−tLo]:first[t−tLo+1]], in task
+	// order.
+	cls := a.Ints(len(in.Tasks))
 	bot := in.BottleneckFunc()
-	for _, t := range in.Tasks {
-		b := bot(t)
-		cls := floorLog2(b)
-		classes[cls] = append(classes[cls], t)
+	tLo, tHi := math.MaxInt, math.MinInt
+	for i, t := range in.Tasks {
+		cls[i] = floorLog2(bot(t))
+		tLo, tHi = min(tLo, cls[i]), max(tHi, cls[i])
 	}
-	ts := make([]int, 0, len(classes))
-	for t := range classes {
-		ts = append(ts, t)
+	first := a.IntsZero(tHi - tLo + 2)
+	for _, c := range cls {
+		first[c-tLo+1]++
 	}
-	sort.Ints(ts)
+	nt := 0
+	for _, size := range first {
+		if size > 0 {
+			nt++
+		}
+	}
+	ts := a.Ints(nt)[:0]
+	for c := 1; c < len(first); c++ {
+		if first[c] > 0 {
+			ts = append(ts, tLo+c-1)
+		}
+		first[c] += first[c-1]
+	}
+	classTasks := a.Tasks(len(in.Tasks))
+	fill := a.Ints(len(first))
+	copy(fill, first)
+	for i, t := range in.Tasks {
+		classTasks[fill[cls[i]-tLo]] = t
+		fill[cls[i]-tLo]++
+	}
+	// A class's strip takes at most one placement per task, so class t
+	// gets the placement range of its tasks.
+	classItems := a.Placements(len(in.Tasks))
 	type classOut struct {
 		report ClassReport
-		sol    *model.Solution
+		items  []model.Placement
+		ran    bool
 		skip   bool
 		err    error
 	}
 	// ForEachCtx with caller-owned slots (not MapCtx) so the classes that
 	// completed before a cancellation survive into the merge.
 	outs := make([]classOut, len(ts))
+	// A single worker runs the classes one after another on the arena of
+	// ctx. Concurrent workers each take their own arena; they only read
+	// the class lists and write their own placement ranges of it.
+	concurrent := par.Workers(p.Workers, len(ts)) > 1
 	_ = par.ForEachCtx(ctx, len(ts), p.Workers, func(i int) error {
 		t := ts[i]
 		if t < 1 {
 			outs[i] = classOut{skip: true} // strip height 2^{t-1} < 1: nothing fits
 			return nil
 		}
-		report, sol, err := func() (report ClassReport, sol *model.Solution, err error) {
+		lo, hi := first[t-tLo], first[t-tLo+1]
+		report, items, err := func() (report ClassReport, items []model.Placement, err error) {
 			defer saperr.Contain(&err)
-			// Per-class worker: own arena (classes run concurrently and the
-			// LP-rounding greedy below grabs its segment tree from it).
-			a := scratch.Get()
-			defer scratch.Put(a)
-			classCtx, endClass := obs.StartSpanTrack(scratch.With(ctx, a), "smallsap/class")
+			classCtx := ctx
+			if concurrent {
+				ca := scratch.Get()
+				defer scratch.Put(ca)
+				classCtx = scratch.With(ctx, ca)
+			}
+			classCtx, endClass := obs.StartSpanTrack(classCtx, "smallsap/class")
 			defer endClass()
 			faultinject.Fire(classCtx, "smallsap/class")
-			return solveClass(classCtx, in, classes[t], t, p)
+			return solveClass(classCtx, in.Capacity, classTasks[lo:hi], t, p, classItems[lo:lo:hi])
 		}()
 		if err != nil {
-			outs[i] = classOut{err: fmt.Errorf("smallsap: class t=%d: %w", t, err)}
+			outs[i] = classOut{ran: true, err: fmt.Errorf("smallsap: class t=%d: %w", t, err)}
 			return nil
 		}
-		outs[i] = classOut{report: report, sol: sol}
+		outs[i] = classOut{report: report, items: items, ran: true}
 		return nil
 	})
-	attempted, completed := 0, 0
+	attempted, completed, placed := 0, 0, 0
 	for _, out := range outs {
 		if out.skip {
 			continue
@@ -157,7 +198,7 @@ func SolveCtx(ctx context.Context, in *model.Instance, p Params) (*Result, error
 			res.ClassErrs = append(res.ClassErrs, out.err)
 			continue
 		}
-		if out.sol == nil {
+		if !out.ran {
 			// Slot never ran: dispatch stopped by cancellation.
 			res.Degraded = true
 			res.ClassErrs = append(res.ClassErrs, saperr.Cancelled(ctx.Err()))
@@ -166,30 +207,45 @@ func SolveCtx(ctx context.Context, in *model.Instance, p Params) (*Result, error
 		completed++
 		res.Classes = append(res.Classes, out.report)
 		res.LPBoundTotal += out.report.LPBound
-		res.Solution.Merge(out.sol)
+		placed += len(out.items)
 	}
 	if attempted > 0 && completed == 0 {
 		return nil, fmt.Errorf("smallsap: no class completed: %w", res.ClassErrs[0])
+	}
+	if placed > 0 {
+		res.Solution.Items = make([]model.Placement, 0, placed)
+		for _, out := range outs {
+			if out.ran && out.err == nil {
+				res.Solution.Items = append(res.Solution.Items, out.items...)
+			}
+		}
 	}
 	res.Solution.SortByID()
 	return res, nil
 }
 
-// solveClass handles one bottleneck class J_t: ½B-packable UFPP solution,
-// strip conversion, lift by 2^{t-1}.
-func solveClass(ctx context.Context, in *model.Instance, tasks []model.Task, t int, p Params) (ClassReport, *model.Solution, error) {
+// solveClass handles one bottleneck class J_t on the capacity profile of
+// the whole instance: ½B-packable UFPP solution, strip conversion, lift by
+// 2^{t-1}. It appends the lifted strip to dst and returns it; the class
+// sub-instance and every intermediate live in the context's arena.
+func solveClass(ctx context.Context, capacity []int64, tasks []model.Task, t int, p Params, dst []model.Placement) (ClassReport, []model.Placement, error) {
+	a, release := scratch.Acquire(ctx)
+	defer release()
 	b := int64(1) << uint(t)
-	classIn := in.Restrict(tasks).ClipCapacities(2 * b)
+	classIn := model.Instance{Capacity: a.Int64s(len(capacity)), Tasks: tasks}
+	for e, c := range capacity {
+		classIn.Capacity[e] = min(c, 2*b)
+	}
 	report := ClassReport{T: t, Tasks: len(tasks)}
 
 	var sel []model.Task
 	switch p.Rounding {
 	case LocalRatio:
-		sel = ufpp.LocalRatioStrip(classIn, b)
+		sel = ufpp.LocalRatioStrip(&classIn, b)
 	default:
 		var lpOpt float64
 		var err error
-		sel, lpOpt, err = ufpp.HalfPackableCtx(ctx, classIn, b, p.Round)
+		sel, lpOpt, err = ufpp.HalfPackableIn(ctx, a, &classIn, b, p.Round)
 		if err != nil {
 			return report, nil, err
 		}
@@ -201,10 +257,12 @@ func solveClass(ctx context.Context, in *model.Instance, tasks []model.Task, t i
 		obs.RatioPermille.Record(pm)
 	}
 
-	conv := dsa.ConvertToStripCtx(ctx, sel, b/2)
-	report.RetainedWeight = conv.RetainedWeight
-	sol := conv.Solution.Lift(b / 2)
-	return report, sol, nil
+	items, _, retained := dsa.ConvertToStripIn(ctx, a, sel, b/2, dst)
+	report.RetainedWeight = retained
+	for i := range items {
+		items[i].Height += b / 2
+	}
+	return report, items, nil
 }
 
 // floorLog2 returns ⌊log2 v⌋ for v ≥ 1 (-1 for v ≤ 0).

@@ -18,6 +18,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 	"math/rand/v2"
 	"slices"
@@ -71,30 +72,47 @@ func HalfPackable(in *model.Instance, b int64, opts RoundOptions) ([]model.Task,
 // returns the LP-density greedy candidate, which is already feasible and
 // half-packable, with no error.
 func HalfPackableCtx(ctx context.Context, in *model.Instance, b int64, opts RoundOptions) ([]model.Task, float64, error) {
+	a, release := scratch.Acquire(ctx)
+	defer release()
+	sel, lpOpt, err := HalfPackableIn(ctx, a, in, b, opts)
+	if err != nil || len(sel) == 0 {
+		return nil, lpOpt, err
+	}
+	return slices.Clone(sel), lpOpt, nil
+}
+
+// HalfPackableIn is HalfPackableCtx for a caller that keeps the selection
+// in its arena: the LP, the greedy, the trials' buffers and the returned
+// tasks all live in a until it is reset.
+func HalfPackableIn(ctx context.Context, a *scratch.Arena, in *model.Instance, b int64, opts RoundOptions) ([]model.Task, float64, error) {
 	opts = opts.withDefaults()
 	if len(in.Tasks) == 0 {
 		return nil, 0, nil
 	}
 	faultinject.Fire(ctx, "ufpp/halfpackable")
-	x, lpOpt, err := lp.UFPPFractionalCtx(ctx, in)
+	x, lpOpt, err := lp.UFPPFractionalIn(ctx, a, in)
 	if err != nil {
 		return nil, 0, fmt.Errorf("half-packable rounding: %w", err)
 	}
 	for j := range x {
-		x[j] /= 4 // x is the LP solver's fresh slice: scale it in place
+		x[j] /= 4 // x is this call's arena slice: scale it in place
 	}
 	budget := b / 2
 
-	greedy := greedyByLPDensity(ctx, in, x, budget)
+	greedy := greedyByLPDensity(a, in, x, budget)
 	best, bestW := greedy, model.WeightOf(greedy)
-	r := newRounder(in, x, budget, opts)
+	r := newRounder(a, in, x, budget, opts)
+	var kept []model.Task // the best trial so far
 	for trial := 0; trial < opts.Trials; trial++ {
 		if ctx.Err() != nil {
 			return greedy, lpOpt, nil
 		}
-		kept := r.trial(trial)
-		if w := model.WeightOf(kept); w > bestW {
-			best, bestW = slices.Clone(kept), w
+		sample := r.trial(trial)
+		if w := model.WeightOf(sample); w > bestW {
+			if kept == nil {
+				kept = a.Tasks(len(in.Tasks))
+			}
+			best, bestW = kept[:copy(kept, sample)], w
 		}
 	}
 	return best, lpOpt, nil
@@ -114,9 +132,9 @@ type rounder struct {
 	load   []int64      // per-edge load of the sample
 }
 
-func newRounder(in *model.Instance, x []float64, budget int64, opts RoundOptions) *rounder {
+func newRounder(a *scratch.Arena, in *model.Instance, x []float64, budget int64, opts RoundOptions) *rounder {
 	r := &rounder{in: in, x: x, budget: budget, opts: opts,
-		sample: make([]model.Task, 0, len(in.Tasks)), load: make([]int64, in.Edges())}
+		sample: a.Tasks(len(in.Tasks))[:0], load: a.Int64s(in.Edges())}
 	r.rng = rand.New(&r.src)
 	return r
 }
@@ -135,34 +153,36 @@ func (r *rounder) trial(trial int) []model.Task {
 	return evictToBudget(r.sample, r.load, r.budget)
 }
 
+// candidate is one task the LP-density greedy may add.
+type candidate struct {
+	idx   int
+	score float64
+}
+
+var candidateKind = scratch.NewKind(candidate{idx: -0x5A5A5A5B, score: math.NaN()})
+
 // greedyByLPDensity adds tasks in decreasing w_j·x_j/d_j order while the
-// load stays within the budget on every edge. The load profile is a
-// scratch-backed segment tree, so per-class calls reuse the solve's arena.
-func greedyByLPDensity(ctx context.Context, in *model.Instance, x []float64, budget int64) []model.Task {
-	type cand struct {
-		idx   int
-		score float64
-	}
-	cands := make([]cand, 0, len(in.Tasks))
+// load stays within the budget on every edge. The candidates, the load
+// profile (a segment tree) and the returned tasks live in the arena.
+func greedyByLPDensity(a *scratch.Arena, in *model.Instance, x []float64, budget int64) []model.Task {
+	cands := candidateKind.Make(a, len(in.Tasks))[:0]
 	for j, t := range in.Tasks {
 		if x[j] <= 0 || t.Demand > budget {
 			continue
 		}
-		cands = append(cands, cand{idx: j, score: float64(t.Weight) * x[j] / float64(t.Demand)})
+		cands = append(cands, candidate{idx: j, score: float64(t.Weight) * x[j] / float64(t.Demand)})
 	}
 	// The (score desc, ID asc) comparator is a total order, so the generic
 	// unstable sort yields the same sequence sort.Slice did, without the
 	// reflection allocation.
-	slices.SortFunc(cands, func(p, q cand) int {
+	slices.SortFunc(cands, func(p, q candidate) int {
 		if p.score != q.score {
 			return cmp.Compare(q.score, p.score)
 		}
 		return cmp.Compare(in.Tasks[p.idx].ID, in.Tasks[q.idx].ID)
 	})
-	a, release := scratch.Acquire(ctx)
-	defer release()
 	tree := intervals.NewSegTreeIn(a, in.Edges())
-	var out []model.Task
+	out := a.Tasks(len(cands))[:0]
 	for _, c := range cands {
 		t := in.Tasks[c.idx]
 		if tree.Max(t.Start, t.End)+t.Demand <= budget {
