@@ -113,13 +113,13 @@ func solveDP(ctx context.Context, in *model.Instance, opts Options) (*model.Solu
 	edges := in.Edges()
 	a, release := scratch.Acquire(ctx)
 	defer release()
-	bot := in.BottleneckFunc()
+	bot := in.BottleneckLookup()
 	// CSR layout of schedulable tasks by start edge (index order per edge,
 	// matching the former append order).
 	startOff := a.IntsZero(edges + 1)
 	eligible := 0
 	for _, t := range in.Tasks {
-		if t.Demand <= bot(t) {
+		if t.Demand <= bot.Of(t) {
 			startOff[t.Start+1]++
 			eligible++
 		}
@@ -131,7 +131,7 @@ func solveDP(ctx context.Context, in *model.Instance, opts Options) (*model.Solu
 	fill := a.Ints(edges)
 	copy(fill, startOff[:edges])
 	for i, t := range in.Tasks {
-		if t.Demand <= bot(t) {
+		if t.Demand <= bot.Of(t) {
 			startFlat[fill[t.Start]] = i
 			fill[t.Start]++
 		}

@@ -10,12 +10,14 @@ import (
 )
 
 // TestAllocsCoreDispatch pins the allocation cost of the full three-arm
-// dispatch on a mixed instance: each arm Gets a pooled arena, every class
-// worker below shadows it with its own, and all DP/search scratch comes out
-// of those arenas. The budget is the end-to-end count — result construction,
-// reports and goroutine machinery included — and sits orders of magnitude
-// below the pre-arena pipeline, which allocated per DP state and per
-// branch-and-bound node.
+// dispatch on a mixed instance: with one worker the arms and their class
+// solves run one after another on one pooled arena, and all DP/search
+// scratch comes out of it. The budget is the end-to-end count — result
+// construction, reports and fan-out machinery included — and sits orders
+// of magnitude below the pre-arena pipeline, which allocated per DP state
+// and per branch-and-bound node. The collector is off while counting, so a
+// collection that empties the arena pool cannot add chunk allocations to
+// the count.
 func TestAllocsCoreDispatch(t *testing.T) {
 	if scratch.RaceEnabled {
 		t.Skip("alloc counts are inflated under -race")
@@ -26,9 +28,10 @@ func TestAllocsCoreDispatch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	f() // warm the arena pool
 	got := testing.AllocsPerRun(10, f)
-	const budget = 1500
+	const budget = 43
 	t.Logf("core.Solve/40tasks: %.1f allocs/op (budget %d)", got, budget)
 	if got > budget {
 		t.Errorf("core.Solve/40tasks: %.1f allocs/op exceeds budget %d", got, budget)
@@ -37,9 +40,9 @@ func TestAllocsCoreDispatch(t *testing.T) {
 
 // TestAllocsShardedSolve pins the allocation cost of one sharded solve: a
 // 32-island archipelago, each island a shard whose three arms run their
-// class solves one after another on the shard worker's arena. Only what
+// class solves one after another on one pooled arena. Only what
 // an arm returns (its solution and reports), the stitched solution and
-// the shard reports are fresh memory: about 41 allocations per shard. The
+// the shard reports are fresh memory: about 30 allocations per shard. The
 // collector is off while counting, so a collection that empties the arena
 // pool cannot add chunk allocations to the count.
 func TestAllocsShardedSolve(t *testing.T) {
@@ -55,7 +58,7 @@ func TestAllocsShardedSolve(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	f() // warm the arena pool
 	got := testing.AllocsPerRun(10, f)
-	const budget = 1310
+	const budget = 955
 	t.Logf("core.Solve/archipelago-320: %.1f allocs/op (budget %d)", got, budget)
 	if got > budget {
 		t.Errorf("core.Solve/archipelago-320: %.1f allocs/op exceeds budget %d", got, budget)

@@ -106,8 +106,9 @@ const (
 	ArmLarge
 )
 
-// armSpanNames are the fixed trace-span names of the three arms, indexed by
-// Arm (precomputed so a disabled tracer costs no string concatenation).
+// armSpanNames are the fixed trace-span and fault-site names of the three
+// arms, indexed by Arm (precomputed so a disabled tracer costs no string
+// concatenation).
 var armSpanNames = [3]string{"core/arm/small", "core/arm/medium", "core/arm/large"}
 
 func (a Arm) String() string {
@@ -163,9 +164,9 @@ func partition(in *model.Instance, deltaDen int64, a *scratch.Arena, out []model
 	}
 	family := a.Ints(len(in.Tasks))
 	var size [3]int
-	bot := in.BottleneckFunc()
+	bot := in.BottleneckLookup()
 	for i, t := range in.Tasks {
-		b := bot(t)
+		b := bot.Of(t)
 		switch {
 		// d ≤ δ·b ⟺ d·deltaDen ≤ b ⟺ d ≤ ⌊b/deltaDen⌋ (all positive
 		// integers). The division form cannot overflow: the product form
@@ -279,7 +280,8 @@ func solveMono(ctx context.Context, start time.Time, in *model.Instance, p Param
 		return nil, err
 	}
 	// The partition and, when the arms run one after another, all three
-	// arms work on the arena of ctx: a shard worker's, or a pooled one.
+	// arms work on the arena of ctx (a concurrent shard's or the caller's)
+	// or on a pooled one.
 	ctx, a, release := scratch.Attach(ctx)
 	defer release()
 	_, endPartition := obs.StartSpan(ctx, "core/partition")
@@ -288,98 +290,71 @@ func solveMono(ctx context.Context, start time.Time, in *model.Instance, p Param
 	res = &Result{NumSmall: len(small), NumMedium: len(medium), NumLarge: len(large)}
 	report := &SolveReport{Deadline: p.Deadline}
 
-	var smallRes *smallsap.Result
-	var medRes *mediumsap.Result
-	concurrent := par.Workers(p.Workers, len(armSpanNames)) > 1
-	// runArm solves one arm under per-arm panic containment, so a solver
-	// bug or corrupt sub-instance degrades that arm instead of the solve.
-	// The arm's sub-instance shares the capacity profile and takes its
-	// family from the partition.
-	runArm := func(i int) (sol *model.Solution, degraded bool, err error) {
-		defer saperr.Contain(&err)
-		// Concurrent arms each get their own scratch arena (arenas are
-		// single-goroutine; the class fan-outs below shadow it again per
-		// worker). Every arm gets its own trace track: the arms may run
-		// concurrently, so sharing the parent's track would interleave
-		// their spans.
-		armCtx := ctx
-		if concurrent {
-			a := scratch.Get()
-			defer scratch.Put(a)
-			armCtx = scratch.With(ctx, a)
-		}
-		armCtx, endArm := obs.StartSpanTrack(armCtx, armSpanNames[i])
-		defer endArm()
-		switch Arm(i) {
-		case ArmSmall:
-			faultinject.Fire(armCtx, "core/arm/small")
-			r, err := smallsap.SolveCtx(armCtx, &model.Instance{Capacity: in.Capacity, Tasks: small}, p.Small)
-			if err != nil {
-				return nil, false, err
-			}
-			smallRes = r
-			return r.Solution, r.Degraded, nil
-		case ArmMedium:
-			faultinject.Fire(armCtx, "core/arm/medium")
-			r, err := mediumsap.SolveCtx(armCtx, &model.Instance{Capacity: in.Capacity, Tasks: medium}, mediumsap.Params{
-				Eps: p.Eps, BetaNum: 1, BetaDen: 4, Exact: p.Exact, Workers: p.Workers,
-			})
-			if err != nil {
-				return nil, false, err
-			}
-			medRes = r
-			return r.Solution, r.Degraded, nil
-		default:
-			faultinject.Fire(armCtx, "core/arm/large")
-			sol, err := largesap.SolveCtx(armCtx, &model.Instance{Capacity: in.Capacity, Tasks: large}, p.Large)
-			if err != nil {
-				if sol != nil && (errors.Is(err, largesap.ErrBudget) || saperr.IsCancelled(err)) {
-					return sol, true, nil // feasible incumbent stands
-				}
-				return nil, false, err
-			}
-			return sol, false, nil
-		}
-	}
+	// An arm returns its solution, whether it degraded, and the small or
+	// medium arm's detail.
 	type armOut struct {
 		sol      *model.Solution
 		degraded bool
-		err      error
-		elapsed  time.Duration
-		ran      bool
+		small    *smallsap.Result
+		medium   *mediumsap.Result
 	}
-	var outs [3]armOut
-	// Arm errors are collected in the slots, never returned through
-	// ForEachCtx: one arm failing must not abort its siblings.
-	_ = par.ForEachCtx(ctx, len(outs), p.Workers, func(i int) error {
-		t0 := time.Now()
-		sol, degraded, err := runArm(i)
-		outs[i] = armOut{sol: sol, degraded: degraded, err: err, elapsed: time.Since(t0), ran: true}
-		return nil
+	// Each arm is contained on its own, so a solver bug or corrupt
+	// sub-instance degrades that arm instead of the solve, and gets its own
+	// trace track: the arms may run concurrently, so sharing the parent's
+	// track would interleave their spans. The arm's sub-instance shares the
+	// capacity profile and takes its family from the partition.
+	outs := par.Run(ctx, len(armSpanNames), p.Workers, func(ctx context.Context, i int) (armOut, error) {
+		ctx, endArm := obs.StartSpanTrack(ctx, armSpanNames[i])
+		defer endArm()
+		faultinject.Fire(ctx, armSpanNames[i])
+		switch Arm(i) {
+		case ArmSmall:
+			r, err := smallsap.SolveCtx(ctx, &model.Instance{Capacity: in.Capacity, Tasks: small}, p.Small)
+			if err != nil {
+				return armOut{}, err
+			}
+			return armOut{sol: r.Solution, degraded: r.Degraded, small: r}, nil
+		case ArmMedium:
+			r, err := mediumsap.SolveCtx(ctx, &model.Instance{Capacity: in.Capacity, Tasks: medium}, mediumsap.Params{
+				Eps: p.Eps, BetaNum: 1, BetaDen: 4, Exact: p.Exact, Workers: p.Workers,
+			})
+			if err != nil {
+				return armOut{}, err
+			}
+			return armOut{sol: r.Solution, degraded: r.Degraded, medium: r}, nil
+		default:
+			sol, err := largesap.SolveCtx(ctx, &model.Instance{Capacity: in.Capacity, Tasks: large}, p.Large)
+			if err != nil {
+				if sol != nil && (errors.Is(err, largesap.ErrBudget) || saperr.IsCancelled(err)) {
+					return armOut{sol: sol, degraded: true}, nil // feasible incumbent stands
+				}
+				return armOut{}, err
+			}
+			return armOut{sol: sol}, nil
+		}
 	})
 
-	for i := range outs {
-		out := outs[i]
+	for i, out := range outs {
 		ar := &report.Arms[i]
 		ar.Arm = Arm(i)
-		ar.Elapsed = out.elapsed
-		if out.ran {
-			obs.ArmNs[i].Record(int64(out.elapsed))
+		ar.Elapsed = out.Elapsed
+		if out.Ran {
+			obs.ArmNs[i].Record(int64(out.Elapsed))
 		}
 		switch {
-		case !out.ran:
+		case !out.Ran:
 			ar.State = ArmSkipped
-			ar.Err = saperr.Cancelled(ctx.Err())
-		case out.err != nil:
+			ar.Err = out.Err
+		case out.Err != nil:
 			ar.State = ArmFailed
-			ar.Err = fmt.Errorf("core: %s arm: %w", Arm(i), out.err)
-		case out.degraded:
+			ar.Err = fmt.Errorf("core: %s arm: %w", Arm(i), out.Err)
+		case out.Val.degraded:
 			ar.State = ArmDegraded
 		default:
 			ar.State = ArmCompleted
 		}
-		if out.sol != nil {
-			ar.Weight = out.sol.Weight()
+		if out.Val.sol != nil {
+			ar.Weight = out.Val.sol.Weight()
 		}
 		if ar.State != ArmCompleted {
 			report.Degraded = true
@@ -388,26 +363,27 @@ func solveMono(ctx context.Context, start time.Time, in *model.Instance, p Param
 	report.Elapsed = time.Since(start)
 	res.Report = report
 
-	res.SmallDetail = smallRes
-	if smallRes != nil {
-		res.SmallWeight = smallRes.Solution.Weight()
+	res.SmallDetail = outs[ArmSmall].Val.small
+	if res.SmallDetail != nil {
+		res.SmallWeight = res.SmallDetail.Solution.Weight()
 	}
-	res.MediumDetail = medRes
-	if medRes != nil {
-		res.MediumWeight = medRes.Solution.Weight()
+	res.MediumDetail = outs[ArmMedium].Val.medium
+	if res.MediumDetail != nil {
+		res.MediumWeight = res.MediumDetail.Solution.Weight()
 	}
-	if outs[ArmLarge].sol != nil {
-		res.LargeWeight = outs[ArmLarge].sol.Weight()
+	if sol := outs[ArmLarge].Val.sol; sol != nil {
+		res.LargeWeight = sol.Weight()
 	}
 
 	// Best-of over the arms that produced a solution, in fixed arm order so
 	// ties keep the deterministic small < medium < large preference.
 	for i, out := range outs {
-		if out.sol == nil {
+		sol := out.Val.sol
+		if sol == nil {
 			continue
 		}
-		if res.Solution == nil || out.sol.Weight() > res.Solution.Weight() {
-			res.Solution, res.Winner = out.sol, Arm(i)
+		if res.Solution == nil || sol.Weight() > res.Solution.Weight() {
+			res.Solution, res.Winner = sol, Arm(i)
 		}
 	}
 	if res.Solution == nil {

@@ -1,10 +1,15 @@
 package difftest
 
 import (
+	"bytes"
+	"encoding/json"
+	"math"
 	"reflect"
+	"sort"
 	"testing"
 
 	"sapalloc/internal/core"
+	"sapalloc/internal/gen"
 	"sapalloc/internal/obs"
 	"sapalloc/internal/ringsap"
 )
@@ -80,5 +85,84 @@ func TestObsPreservesOutputsRing(t *testing.T) {
 					c.Replay, got, base)
 			}
 		})
+	}
+}
+
+// TestShardTraceTracks traces one archipelago solve with two workers and
+// reads it back through obs.WriteTrace. The shards run concurrently, so
+// each opens its work on a track of its own (its partition included), and
+// on every track the spans nest or follow one another, never overlap.
+func TestShardTraceTracks(t *testing.T) {
+	in := gen.Archipelago(gen.ArchipelagoConfig{Seed: 3, Islands: 16, IslandEdges: 8, GapEdges: 2, TasksPerIsland: 10, Class: gen.Mixed})
+	obs.EnableTracing(1 << 16)
+	defer func() {
+		obs.DisableTracing()
+		obs.Reset()
+	}()
+	res, err := core.Solve(in, core.Params{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Shards == nil || res.Shards.Shards < 2 {
+		t.Fatalf("archipelago did not shard: %+v", res.Shards)
+	}
+	var buf bytes.Buffer
+	if err := obs.WriteTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name    string
+			Ph      string
+			Ts, Dur float64
+			Tid     uint32
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	type span struct {
+		name   string
+		lo, hi int64 // nanoseconds since the tracer epoch
+	}
+	tracks := map[uint32][]span{}
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph != "X" {
+			continue
+		}
+		lo := int64(math.Round(ev.Ts * 1e3))
+		tracks[ev.Tid] = append(tracks[ev.Tid], span{ev.Name, lo, lo + int64(math.Round(ev.Dur*1e3))})
+	}
+	shards := 0
+	for tid, spans := range tracks {
+		// Outer spans first on equal starts; open holds the enclosing
+		// spans of the current one, innermost last.
+		sort.Slice(spans, func(i, j int) bool {
+			if spans[i].lo != spans[j].lo {
+				return spans[i].lo < spans[j].lo
+			}
+			return spans[i].hi > spans[j].hi
+		})
+		var open []span
+		names := map[string]int{}
+		for _, s := range spans {
+			names[s.name]++
+			for len(open) > 0 && open[len(open)-1].hi <= s.lo {
+				open = open[:len(open)-1]
+			}
+			if n := len(open); n > 0 && s.hi > open[n-1].hi {
+				t.Errorf("track %d: %s [%d,%d) overlaps %s [%d,%d) without nesting",
+					tid, s.name, s.lo, s.hi, open[n-1].name, open[n-1].lo, open[n-1].hi)
+			}
+			open = append(open, s)
+		}
+		if names["shard/solve"]+names["core/partition"] > 0 && (names["shard/solve"] != 1 || names["core/partition"] != 1) {
+			t.Errorf("track %d holds %d shard/solve and %d core/partition spans, want one shard with its partition",
+				tid, names["shard/solve"], names["core/partition"])
+		}
+		shards += names["shard/solve"]
+	}
+	if shards != res.Shards.Shards {
+		t.Errorf("%d shard/solve spans, want one per shard (%d)", shards, res.Shards.Shards)
 	}
 }

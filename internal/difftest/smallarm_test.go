@@ -86,9 +86,9 @@ type bottleneckClass struct {
 // in increasing class order, skipping the classes Strip-Pack skips (t < 1).
 func bottleneckClasses(in *model.Instance) []bottleneckClass {
 	byT := map[int][]model.Task{}
-	bot := in.BottleneckFunc()
+	bot := in.BottleneckLookup()
 	for _, tk := range in.Tasks {
-		if t := bits.Len64(uint64(bot(tk))) - 1; t >= 1 {
+		if t := bits.Len64(uint64(bot.Of(tk))) - 1; t >= 1 {
 			byT[t] = append(byT[t], tk)
 		}
 	}

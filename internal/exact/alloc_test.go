@@ -31,7 +31,7 @@ func TestAllocsSolveSAP(t *testing.T) {
 	a := scratch.Get()
 	defer scratch.Put(a)
 	ctx := scratch.With(context.Background(), a)
-	allocBudget(t, "SolveSAPCtx/12tasks", 16, func() {
+	allocBudget(t, "SolveSAPCtx/12tasks", 2, func() {
 		a.Reset()
 		if _, err := exact.SolveSAPCtx(ctx, in, exact.Options{}); err != nil {
 			t.Fatal(err)
@@ -47,7 +47,7 @@ func TestAllocsSolveUFPP(t *testing.T) {
 	a := scratch.Get()
 	defer scratch.Put(a)
 	ctx := scratch.With(context.Background(), a)
-	allocBudget(t, "SolveUFPPCtx/14tasks", 10, func() {
+	allocBudget(t, "SolveUFPPCtx/14tasks", 4, func() {
 		a.Reset()
 		if _, err := exact.SolveUFPPCtx(ctx, in, exact.Options{}); err != nil {
 			t.Fatal(err)

@@ -30,7 +30,7 @@ func TestAllocsSolveLarge(t *testing.T) {
 	}
 	f() // warm arena chunks
 	got := testing.AllocsPerRun(20, f)
-	const budget = 30
+	const budget = 9
 	t.Logf("largesap.SolveCtx/24tasks: %.1f allocs/op (budget %d)", got, budget)
 	if got > budget {
 		t.Errorf("largesap.SolveCtx/24tasks: %.1f allocs/op exceeds budget %d", got, budget)

@@ -64,9 +64,9 @@ func RectanglesOf(in *model.Instance) []Rect {
 
 // appendRectangles appends the rectangles RectanglesOf returns to out.
 func appendRectangles(out []Rect, in *model.Instance) []Rect {
-	bot := in.BottleneckFunc()
+	bot := in.BottleneckLookup()
 	for _, t := range in.Tasks {
-		b := bot(t)
+		b := bot.Of(t)
 		if b < t.Demand {
 			continue
 		}

@@ -145,10 +145,10 @@ func SolveCtx(ctx context.Context, in *model.Instance, p Params) (*Result, error
 	// Class k − kLo holds classTasks[first[k−kLo]:first[k−kLo+1]], in task
 	// order.
 	tops := a.Ints(len(in.Tasks))
-	bot := in.BottleneckFunc()
+	bot := in.BottleneckLookup()
 	kLo, kHi := math.MaxInt, math.MinInt
 	for i, t := range in.Tasks {
-		tops[i] = floorLog2(bot(t))
+		tops[i] = floorLog2(bot.Of(t))
 		kLo, kHi = min(kLo, tops[i]-ell+1), max(kHi, tops[i])
 	}
 	first := a.IntsZero(kHi - kLo + 2)
@@ -184,41 +184,21 @@ func SolveCtx(ctx context.Context, in *model.Instance, p Params) (*Result, error
 	classItems := a.Placements(len(classTasks))
 
 	// Per class: elevated 2-approximate solutions, solved concurrently —
-	// the classes are independent sub-instances. Slots are caller-owned so
-	// classes that completed before a cancellation survive into the stack.
+	// the classes are independent sub-instances. Classes that completed
+	// before a cancellation survive into the stack. Class workers only read
+	// the class lists and write their own placement ranges of them.
 	type classOut struct {
 		items    []model.Placement
-		ran      bool
 		degraded bool
-		err      error
 	}
-	outs := make([]classOut, len(ks))
-	// A single worker runs the classes one after another on the arena of
-	// ctx. Concurrent workers each take their own arena; they only read
-	// the class lists and write their own placement ranges of it.
-	concurrent := par.Workers(p.Workers, len(ks)) > 1
-	_ = par.ForEachCtx(ctx, len(ks), p.Workers, func(i int) error {
+	outs := par.Run(ctx, len(ks), p.Workers, func(ctx context.Context, i int) (classOut, error) {
 		k := ks[i]
 		lo, hi := first[k-kLo], first[k-kLo+1]
-		items, degraded, err := func() (items []model.Placement, degraded bool, err error) {
-			defer saperr.Contain(&err)
-			classCtx := ctx
-			if concurrent {
-				ca := scratch.Get()
-				defer scratch.Put(ca)
-				classCtx = scratch.With(ctx, ca)
-			}
-			classCtx, endClass := obs.StartSpanTrack(classCtx, "mediumsap/class")
-			defer endClass()
-			faultinject.Fire(classCtx, "mediumsap/class")
-			return elevate(classCtx, in.Capacity, classTasks[lo:hi], k, ell, p, classItems[lo:lo:hi])
-		}()
-		if err != nil {
-			outs[i] = classOut{ran: true, err: fmt.Errorf("mediumsap: class k=%d: %w", k, err)}
-			return nil
-		}
-		outs[i] = classOut{items: items, ran: true, degraded: degraded}
-		return nil
+		ctx, endClass := obs.StartSpanTrack(ctx, "mediumsap/class")
+		defer endClass()
+		faultinject.Fire(ctx, "mediumsap/class")
+		items, degraded, err := elevate(ctx, in.Capacity, classTasks[lo:hi], k, ell, p, classItems[lo:lo:hi])
+		return classOut{items: items, degraded: degraded}, err
 	})
 
 	// Residue classes K(r) = K ∩ { r + i(ℓ+q) }. Classes of one residue
@@ -230,20 +210,19 @@ func SolveCtx(ctx context.Context, in *model.Instance, p Params) (*Result, error
 	for i, k := range ks {
 		out := outs[i]
 		switch {
-		case out.err != nil:
+		case !out.Ran:
 			res.Degraded = true
-			res.ClassErrs = append(res.ClassErrs, out.err)
-		case !out.ran:
-			// Slot never ran: dispatch stopped by cancellation.
+			res.ClassErrs = append(res.ClassErrs, out.Err)
+		case out.Err != nil:
 			res.Degraded = true
-			res.ClassErrs = append(res.ClassErrs, saperr.Cancelled(ctx.Err()))
+			res.ClassErrs = append(res.ClassErrs, fmt.Errorf("mediumsap: class k=%d: %w", k, out.Err))
 		default:
 			completed++
-			if out.degraded {
+			if out.Val.degraded {
 				res.Degraded = true
 			}
 		}
-		w := (&model.Solution{Items: out.items}).Weight()
+		w := (&model.Solution{Items: out.Val.items}).Weight()
 		res.Classes[k] = w
 		residueWeight[residue(k, period)] += w
 	}
@@ -258,7 +237,7 @@ func SolveCtx(ctx context.Context, in *model.Instance, p Params) (*Result, error
 	placed := 0
 	for i, k := range ks {
 		if residue(k, period) == res.Residue {
-			placed += len(outs[i].items)
+			placed += len(outs[i].Val.items)
 		}
 	}
 	best := &model.Solution{}
@@ -267,7 +246,7 @@ func SolveCtx(ctx context.Context, in *model.Instance, p Params) (*Result, error
 	}
 	for i, k := range ks {
 		if residue(k, period) == res.Residue {
-			best.Items = append(best.Items, outs[i].items...)
+			best.Items = append(best.Items, outs[i].Val.items...)
 		}
 	}
 	res.Solution = best.SortByID()

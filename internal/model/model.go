@@ -176,10 +176,10 @@ func (in *Instance) Bottleneck(t Task) int64 {
 // instances the scans are answered by a sparse-table index (see
 // BottleneckIndex) instead of per-task linear walks.
 func (in *Instance) Bottlenecks() []int64 {
-	bot := in.BottleneckFunc()
+	bot := in.BottleneckLookup()
 	out := make([]int64, len(in.Tasks))
 	for i, t := range in.Tasks {
-		out[i] = bot(t)
+		out[i] = bot.Of(t)
 	}
 	return out
 }
@@ -294,7 +294,7 @@ func (in *Instance) Uniform() bool {
 //
 // The capacity slice is SHARED with the receiver, not copied — a copy-on-
 // write contract, not an implementation detail: the shard decomposition
-// layer windows an instance once per shard (SubPath), the combined
+// layer windows the capacity profile once per shard, the combined
 // pipeline builds its per-arm sub-instances on the same profile, and
 // re-copying the profile each time dominated the partition cost. Capacity
 // slices are read-only throughout the library; code that needs to modify
@@ -304,24 +304,6 @@ func (in *Instance) Uniform() bool {
 // a restricted or sharded solve must never mutate the parent's capacities.
 func (in *Instance) Restrict(tasks []Task) *Instance {
 	return &Instance{Capacity: in.Capacity, Tasks: append([]Task(nil), tasks...)}
-}
-
-// SubPath returns the sub-instance on the edge window [lo, hi): the
-// capacity window is shared with the receiver read-only (the same
-// copy-on-write contract as Restrict; the full slice expression keeps an
-// append on the sub-slice from spilling into the parent's backing array),
-// and the given tasks are copied with their intervals rebased by -lo so
-// they address the sub-path's own edges. Every task must satisfy
-// lo ≤ Start < End ≤ hi; the shard decomposition layer guarantees this by
-// cutting only at zero-load edges.
-func (in *Instance) SubPath(lo, hi int, tasks []Task) *Instance {
-	sub := &Instance{Capacity: in.Capacity[lo:hi:hi], Tasks: make([]Task, len(tasks))}
-	for i, t := range tasks {
-		t.Start -= lo
-		t.End -= lo
-		sub.Tasks[i] = t
-	}
-	return sub
 }
 
 // ClipCapacities returns a copy of the instance whose edge capacities are

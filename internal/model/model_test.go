@@ -594,7 +594,7 @@ func TestRingJSONRoundTrip(t *testing.T) {
 // TestRestrictSharesCapacity pins Restrict's copy-on-write contract: the
 // restricted instance aliases the parent's capacity slice (no copy), while
 // the task slice is an independent copy. The shard decomposition layer
-// leans on the same contract through SubPath.
+// leans on the same contract for its capacity windows.
 func TestRestrictSharesCapacity(t *testing.T) {
 	in := &Instance{
 		Capacity: []int64{5, 6, 7},
@@ -614,32 +614,5 @@ func TestRestrictSharesCapacity(t *testing.T) {
 	}
 	if c := in.Clone(); &c.Capacity[0] == &in.Capacity[0] {
 		t.Error("Clone aliased the parent capacity slice")
-	}
-}
-
-// TestSubPath checks the windowing twin of Restrict: shared capacity
-// window, rebased task copies, and append isolation via the full slice
-// expression.
-func TestSubPath(t *testing.T) {
-	in := &Instance{
-		Capacity: []int64{5, 6, 7, 8, 9},
-		Tasks:    []Task{{ID: 3, Start: 2, End: 4, Demand: 2, Weight: 4}},
-	}
-	sub := in.SubPath(1, 4, in.Tasks)
-	if len(sub.Capacity) != 3 || &sub.Capacity[0] != &in.Capacity[1] {
-		t.Fatalf("window = %v (shared=%v), want edges [1,4) shared with the parent",
-			sub.Capacity, len(sub.Capacity) > 0 && &sub.Capacity[0] == &in.Capacity[1])
-	}
-	want := Task{ID: 3, Start: 1, End: 3, Demand: 2, Weight: 4}
-	if len(sub.Tasks) != 1 || sub.Tasks[0] != want {
-		t.Fatalf("sub tasks = %+v, want [%+v]", sub.Tasks, want)
-	}
-	if in.Tasks[0].Start != 2 {
-		t.Error("SubPath mutated the parent's task slice")
-	}
-	// Appending to the window must not spill into the parent's edge 4.
-	sub.Capacity = append(sub.Capacity, 999)
-	if in.Capacity[4] != 9 {
-		t.Errorf("append on the sub window clobbered the parent: %v", in.Capacity)
 	}
 }

@@ -84,21 +84,36 @@ func (ix *BottleneckIndex) ArcMin(from, to int) int64 {
 	return a
 }
 
-// rmqMinEdges and rmqMinTasks gate when BottleneckFunc pays for the
+// rmqMinEdges and rmqMinTasks gate when BottleneckLookup pays for the
 // O(m log m) build: below either threshold the plain linear scan wins.
 const (
 	rmqMinEdges = 64
 	rmqMinTasks = 8
 )
 
-// BottleneckFunc returns a function computing b(j) for tasks of this
-// instance. On instances large enough for the sparse-table build to pay
-// off (≥ 64 edges and ≥ 8 tasks) the returned function answers in O(1)
-// via a BottleneckIndex; otherwise it falls back to the linear scan. The
-// returned function is safe for concurrent use.
-func (in *Instance) BottleneckFunc() func(Task) int64 {
-	if in.Edges() >= rmqMinEdges && len(in.Tasks) >= rmqMinTasks {
-		return NewBottleneckIndex(in.Capacity).Bottleneck
+// BottleneckLookup answers b(j) queries for the tasks of one instance. It
+// is a small value with no closure behind it, so taking one allocates
+// nothing below the index's size gate, and it is safe for concurrent use.
+type BottleneckLookup struct {
+	in *Instance
+	ix *BottleneckIndex // nil below the size gate
+}
+
+// Of returns b(t) = min_{e ∈ [Start, End)} c_e.
+func (l BottleneckLookup) Of(t Task) int64 {
+	if l.ix != nil {
+		return l.ix.Bottleneck(t)
 	}
-	return in.Bottleneck
+	return l.in.Bottleneck(t)
+}
+
+// BottleneckLookup returns the instance's bottleneck lookup. On instances
+// large enough for the sparse-table build to pay off (≥ 64 edges and ≥ 8
+// tasks) it answers in O(1) via a BottleneckIndex; otherwise it falls back
+// to the linear scan.
+func (in *Instance) BottleneckLookup() BottleneckLookup {
+	if in.Edges() >= rmqMinEdges && len(in.Tasks) >= rmqMinTasks {
+		return BottleneckLookup{ix: NewBottleneckIndex(in.Capacity)}
+	}
+	return BottleneckLookup{in: in}
 }

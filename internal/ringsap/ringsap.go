@@ -21,7 +21,6 @@ import (
 	"sapalloc/internal/obs"
 	"sapalloc/internal/par"
 	"sapalloc/internal/saperr"
-	"sapalloc/internal/scratch"
 )
 
 // Params configures the ring solver.
@@ -60,6 +59,10 @@ const (
 	// edge.
 	ArmKnapsack
 )
+
+// armSpanNames are the trace-span and fault-site names of the two arms,
+// indexed by Arm.
+var armSpanNames = [2]string{"ringsap/arm/path", "ringsap/arm/knapsack"}
 
 func (a Arm) String() string {
 	if a == ArmKnapsack {
@@ -112,113 +115,99 @@ func SolveCtx(ctx context.Context, r *model.RingInstance, p Params) (res *Result
 
 	// The two reduction arms of Lemma 18 are independent: the path arm
 	// solves the cut instance, the knapsack arm stacks tasks routed through
-	// the cut edge. Run them concurrently; each writes its own slot and is
-	// contained on its own, so one arm panicking or timing out leaves the
-	// other's solution standing.
-	var pathRes *core.Result
-	pathSol := &model.RingSolution{}
-	knapSol := &model.RingSolution{}
-	var armDone [2]bool
-	arms := []func() error{
-		func() (err error) {
-			defer saperr.Contain(&err)
-			// Per-arm arena: the arms run concurrently and arenas are
-			// single-goroutine. Inner fan-outs shadow it per worker.
-			a := scratch.Get()
-			defer scratch.Put(a)
-			armCtx, endArm := obs.StartSpanTrack(scratch.With(ctx, a), "ringsap/arm/path")
-			defer endArm()
-			faultinject.Fire(armCtx, "ringsap/arm/path")
-			// Arm 1: path solution on the cut ring; tasks are routed on the
-			// arc avoiding the cut edge.
-			pathIn := r.CutAt(cut)
-			pathRes, err = core.SolveCtx(armCtx, pathIn, p.Path)
-			if err != nil {
-				return fmt.Errorf("ringsap: path arm: %w", err)
-			}
-			for _, pl := range pathRes.Solution.Items {
-				rt, ok := ringTaskByID(r, pl.Task.ID)
-				if !ok {
-					return fmt.Errorf("ringsap: path solution refers to unknown task %d", pl.Task.ID)
-				}
-				pathSol.Items = append(pathSol.Items, model.RingPlacement{
-					Task:        rt,
-					Orientation: orientationAvoiding(r, rt, cut),
-					Height:      pl.Height,
-				})
-			}
-			armDone[ArmPath] = true
-			return nil
-		},
-		func() (err error) {
-			defer saperr.Contain(&err)
-			a := scratch.Get()
-			defer scratch.Put(a)
-			armCtx, endArm := obs.StartSpanTrack(scratch.With(ctx, a), "ringsap/arm/knapsack")
-			defer endArm()
-			faultinject.Fire(armCtx, "ringsap/arm/knapsack")
-			// Arm 2: knapsack over all tasks routed through the cut edge,
-			// stacked bottom-up (h_2(j) = Σ_{ℓ<j, ℓ∈S₂} d_ℓ as in the paper).
-			items := make([]knapsack.Item, len(r.Tasks))
-			for i, t := range r.Tasks {
-				items[i] = knapsack.Item{Size: t.Demand, Profit: t.Weight}
-			}
-			chosen, _ := knapsack.SolveFPTASCtx(armCtx, items, r.Capacity[cut], p.Eps)
-			if err := saperr.FromContext(armCtx); err != nil {
-				// The prefix-DP is anytime, but a selection truncated by
-				// cancellation has no FPTAS guarantee: report the arm as
-				// cancelled rather than completed.
-				return fmt.Errorf("ringsap: knapsack arm: %w", err)
-			}
-			sort.Ints(chosen)
-			var h int64
-			for _, i := range chosen {
-				t := r.Tasks[i]
-				knapSol.Items = append(knapSol.Items, model.RingPlacement{
-					Task:        t,
-					Orientation: orientationThrough(r, t, cut),
-					Height:      h,
-				})
-				h += t.Demand
-			}
-			armDone[ArmKnapsack] = true
-			return nil
-		},
-	}
-	// Arm errors land in ArmErrs, never abort the sibling arm.
-	_ = par.ForEachCtx(ctx, len(arms), p.Workers, func(i int) error {
-		if err := arms[i](); err != nil {
-			res.ArmErrs[i] = err
+	// the cut edge. Run them concurrently; each is contained on its own, so
+	// one arm panicking or timing out leaves the other's solution standing.
+	outs := par.Run(ctx, len(armSpanNames), p.Workers, func(ctx context.Context, i int) (armOut, error) {
+		ctx, endArm := obs.StartSpanTrack(ctx, armSpanNames[i])
+		defer endArm()
+		faultinject.Fire(ctx, armSpanNames[i])
+		if Arm(i) == ArmPath {
+			return solvePath(ctx, r, cut, p.Path)
 		}
-		return nil
+		return solveKnapsack(ctx, r, cut, p.Eps)
 	})
-	for i := range armDone {
-		if !armDone[i] {
+	for i, out := range outs {
+		if out.Err != nil {
 			res.Degraded = true
-			if res.ArmErrs[i] == nil {
-				res.ArmErrs[i] = saperr.Cancelled(ctx.Err())
-			}
+			res.ArmErrs[i] = out.Err
 		}
 	}
-	if !armDone[ArmPath] && !armDone[ArmKnapsack] {
+	path, knap := outs[ArmPath], outs[ArmKnapsack]
+	if path.Err != nil && knap.Err != nil {
 		return nil, fmt.Errorf("ringsap: no arm completed: %w", res.ArmErrs[ArmPath])
 	}
-	res.PathDetail = pathRes
-	res.PathWeight = pathSol.Weight()
-	res.KnapsackWeight = knapSol.Weight()
-
+	res.PathDetail = path.Val.path
+	if path.Err == nil {
+		res.PathWeight = path.Val.sol.Weight()
+	}
+	if knap.Err == nil {
+		res.KnapsackWeight = knap.Val.sol.Weight()
+	}
 	// Best-of over the arms that completed; fixed tie-break path-first.
-	switch {
-	case !armDone[ArmPath]:
-		res.Solution, res.Winner = knapSol, ArmKnapsack
-	case !armDone[ArmKnapsack]:
-		res.Solution, res.Winner = pathSol, ArmPath
-	case res.KnapsackWeight > res.PathWeight:
-		res.Solution, res.Winner = knapSol, ArmKnapsack
-	default:
-		res.Solution, res.Winner = pathSol, ArmPath
+	res.Solution, res.Winner = path.Val.sol, ArmPath
+	if path.Err != nil || knap.Err == nil && res.KnapsackWeight > res.PathWeight {
+		res.Solution, res.Winner = knap.Val.sol, ArmKnapsack
 	}
 	return res, nil
+}
+
+// armOut is what one arm returns: its ring solution and, for the path
+// arm, the combined solver's result.
+type armOut struct {
+	sol  *model.RingSolution
+	path *core.Result
+}
+
+// solvePath is the path arm: the combined path solver on the ring cut at
+// edge cut, with every task routed on the arc avoiding the cut edge.
+func solvePath(ctx context.Context, r *model.RingInstance, cut int, p core.Params) (armOut, error) {
+	res, err := core.SolveCtx(ctx, r.CutAt(cut), p)
+	if err != nil {
+		return armOut{}, fmt.Errorf("ringsap: path arm: %w", err)
+	}
+	sol := &model.RingSolution{}
+	for _, pl := range res.Solution.Items {
+		rt, ok := ringTaskByID(r, pl.Task.ID)
+		if !ok {
+			return armOut{}, fmt.Errorf("ringsap: path solution refers to unknown task %d", pl.Task.ID)
+		}
+		sol.Items = append(sol.Items, model.RingPlacement{
+			Task:        rt,
+			Orientation: orientationAvoiding(r, rt, cut),
+			Height:      pl.Height,
+		})
+	}
+	return armOut{sol: sol, path: res}, nil
+}
+
+// solveKnapsack is the knapsack arm: a knapsack over all tasks routed
+// through the cut edge, stacked bottom-up (h_2(j) = Σ_{ℓ<j, ℓ∈S₂} d_ℓ as in
+// the paper).
+func solveKnapsack(ctx context.Context, r *model.RingInstance, cut int, eps float64) (armOut, error) {
+	items := make([]knapsack.Item, len(r.Tasks))
+	for i, t := range r.Tasks {
+		items[i] = knapsack.Item{Size: t.Demand, Profit: t.Weight}
+	}
+	chosen, _ := knapsack.SolveFPTASCtx(ctx, items, r.Capacity[cut], eps)
+	if err := saperr.FromContext(ctx); err != nil {
+		// The prefix-DP is anytime, but a selection truncated by
+		// cancellation has no FPTAS guarantee: report the arm as
+		// cancelled rather than completed.
+		return armOut{}, fmt.Errorf("ringsap: knapsack arm: %w", err)
+	}
+	sort.Ints(chosen)
+	sol := &model.RingSolution{}
+	var h int64
+	for _, i := range chosen {
+		t := r.Tasks[i]
+		sol.Items = append(sol.Items, model.RingPlacement{
+			Task:        t,
+			Orientation: orientationThrough(r, t, cut),
+			Height:      h,
+		})
+		h += t.Demand
+	}
+	return armOut{sol: sol}, nil
 }
 
 func ringTaskByID(r *model.RingInstance, id int) (model.RingTask, bool) {

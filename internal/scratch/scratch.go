@@ -11,10 +11,12 @@
 // Ownership rules (enforced by the difftest scratch-reuse matrix and the
 // FuzzScratchReuse target):
 //
-//   - An Arena is single-goroutine: every fork-join fan-out point
-//     (core arms, per-class solves, ring arms) must give each
-//     worker its own Arena — Get one from the pool inside the worker body,
-//     or shadow the context with With before calling down.
+//   - An Arena is single-goroutine. par.Run, the solver's one fork-join,
+//     enforces this: when its items (shards, arms, classes) run
+//     concurrently, each gets its own pooled Arena attached with With, and
+//     items run one after another share the caller's. A new fan-out goes
+//     through par.Run rather than handing a ctx-carried Arena to
+//     goroutines of its own.
 //   - Arena-backed memory must not escape the solve that grabbed it.
 //     Results handed to callers (Solutions, reports) are always built from
 //     freshly allocated memory.

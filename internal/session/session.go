@@ -38,7 +38,6 @@ import (
 	"sapalloc/internal/obs"
 	"sapalloc/internal/par"
 	"sapalloc/internal/saperr"
-	"sapalloc/internal/scratch"
 	"sapalloc/internal/shard"
 )
 
@@ -274,7 +273,6 @@ func (s *Session) applyFull(ctx context.Context, d Delta, in *model.Instance, ne
 func (s *Session) applyIncremental(ctx context.Context, d Delta, next []model.Task, plan *shard.Plan, merged []edgeIv, dirtyEdges int, start time.Time) (*Result, error) {
 	nsp := plan.Len()
 	entries := make([]*spanEntry, nsp)
-	errs := make([]error, nsp)
 	var dirty []int
 	j := 0
 	for i := 0; i < nsp; i++ {
@@ -300,32 +298,24 @@ func (s *Session) applyIncremental(ctx context.Context, d Delta, next []model.Ta
 		inner.Workers = 1
 		inner.Small.Workers = 1
 	}
-	_ = par.ForEachCtx(ctx, len(dirty), s.params.Workers, func(k int) error {
-		i := dirty[k]
-		sp := plan.Span(i)
-		err := func() (err error) {
-			defer saperr.Contain(&err)
-			faultinject.Fire(ctx, "session/shard")
-			a := scratch.Get()
-			defer scratch.Put(a)
-			r, err := core.SolveCtx(scratch.With(ctx, a), plan.SubInstance(i), inner)
-			if err != nil {
-				return err
-			}
-			entries[i] = &spanEntry{tasks: sp.Tasks, sol: sp.Lift(r.Solution)}
-			return nil
-		}()
-		errs[i] = err
-		return nil
+	outs := par.Run(ctx, len(dirty), s.params.Workers, func(ctx context.Context, k int) (*spanEntry, error) {
+		faultinject.Fire(ctx, "session/shard")
+		sp := plan.Span(dirty[k])
+		r, err := core.SolveCtx(ctx, plan.SubInstance(dirty[k]), inner)
+		if err != nil {
+			return nil, err
+		}
+		return &spanEntry{tasks: sp.Tasks, sol: sp.Lift(r.Solution)}, nil
 	})
-	for _, i := range dirty {
-		if errs[i] != nil {
-			sp := plan.Span(i)
-			return nil, fmt.Errorf("session: shard [%d,%d): %w", sp.Lo, sp.Hi, errs[i])
+	for k, out := range outs {
+		sp := plan.Span(dirty[k])
+		switch {
+		case !out.Ran: // skipped: the context died before dispatch
+			return nil, out.Err
+		case out.Err != nil:
+			return nil, fmt.Errorf("session: shard [%d,%d): %w", sp.Lo, sp.Hi, out.Err)
 		}
-		if entries[i] == nil { // skipped: the context died before dispatch
-			return nil, saperr.Cancelled(ctx.Err())
-		}
+		entries[dirty[k]] = out.Val
 	}
 	if cerr := saperr.FromContext(ctx); cerr != nil {
 		// Same rationale as the full path: a cancelled context may have

@@ -77,16 +77,16 @@ func (s Span) Lift(local *model.Solution) *model.Solution {
 	return out
 }
 
-// Plan is the result of the cut scan: the shard spans plus the task set of
-// each, in input order. A plan is immutable once computed and is only
+// Plan is the result of the cut scan: the shard spans plus the
+// sub-instance of each. A plan is immutable once computed and is only
 // valid for the instance it was computed from.
 type Plan struct {
-	in    *model.Instance
 	spans []Span
-	// tasks[i] holds shard i's tasks in original (global) coordinates and
-	// original input order, so sub-instances inherit the deterministic
-	// task order the solvers' tie-breaks key on.
-	tasks [][]model.Task
+	// subs[i] is shard i's sub-instance: the parent's capacity window and
+	// the shard's tasks rebased to it, in original input order, so
+	// sub-instances inherit the deterministic task order the solvers'
+	// tie-breaks key on. All shards' tasks share one slice.
+	subs []model.Instance
 	// Scan is the wall time of the cut scan.
 	Scan time.Duration
 }
@@ -94,10 +94,10 @@ type Plan struct {
 // Compute scans the load profile and returns the decomposition plan. The
 // scan is O(tasks + edges) with scratch-arena temporaries: a difference
 // array accumulates per-edge task counts, maximal non-zero runs become the
-// spans, and each task is bucketed to the span containing its interval.
+// spans, and each task is rebased into the span containing its interval.
 func Compute(ctx context.Context, in *model.Instance) *Plan {
 	start := time.Now()
-	p := &Plan{in: in}
+	p := &Plan{}
 	m := in.Edges()
 	if m == 0 || len(in.Tasks) == 0 {
 		p.Scan = time.Since(start)
@@ -152,18 +152,26 @@ func Compute(ctx context.Context, in *model.Instance) *Plan {
 	}
 	// Bucket tasks by the span containing their start edge. A task's whole
 	// interval has positive load, so it cannot cross a cut edge: the span
-	// of Start contains [Start, End). Two passes keep one exact-size slice
-	// per shard, appended in input order.
+	// of Start contains [Start, End). Two passes give each shard an
+	// exact-size range of one task slice, filled in input order with the
+	// tasks rebased by -Lo to address the shard's own edges.
 	for _, t := range in.Tasks {
 		p.spans[spanOf[t.Start]].Tasks++
 	}
-	p.tasks = make([][]model.Task, len(p.spans))
+	tasks := make([]model.Task, len(in.Tasks))
+	p.subs = make([]model.Instance, len(p.spans))
+	off := 0
 	for i, s := range p.spans {
-		p.tasks[i] = make([]model.Task, 0, s.Tasks)
+		// Full slice expressions keep an append on one shard's window
+		// from spilling into its neighbour's.
+		p.subs[i] = model.Instance{Capacity: in.Capacity[s.Lo:s.Hi:s.Hi], Tasks: tasks[off : off : off+s.Tasks]}
+		off += s.Tasks
 	}
 	for _, t := range in.Tasks {
 		i := spanOf[t.Start]
-		p.tasks[i] = append(p.tasks[i], t)
+		t.Start -= p.spans[i].Lo
+		t.End -= p.spans[i].Lo
+		p.subs[i].Tasks = append(p.subs[i].Tasks, t)
 	}
 	p.Scan = time.Since(start)
 	obs.ShardScanNs.Record(int64(p.Scan))
@@ -180,13 +188,11 @@ func (p *Plan) Decomposes() bool { return len(p.spans) >= 2 }
 // Span returns shard i's edge window.
 func (p *Plan) Span(i int) Span { return p.spans[i] }
 
-// SubInstance builds shard i's sub-instance: the capacity window is shared
-// with the parent read-only (model.SubPath's copy-on-write contract) and
-// the shard's tasks are rebased to the window's local coordinates.
-func (p *Plan) SubInstance(i int) *model.Instance {
-	s := p.spans[i]
-	return p.in.SubPath(s.Lo, s.Hi, p.tasks[i])
-}
+// SubInstance returns shard i's sub-instance: the capacity window of the
+// parent and the shard's tasks rebased to the window's local coordinates.
+// It is shared, with the plan and with the parent's capacities, and
+// read-only: every caller sees the same instance, so none may modify it.
+func (p *Plan) SubInstance(i int) *model.Instance { return &p.subs[i] }
 
 // State classifies how one shard's solve ended.
 type State int
@@ -260,7 +266,8 @@ func (r *Report) String() string {
 
 // Solver solves one shard's sub-instance. The index identifies the shard
 // (callers typically record per-shard diagnostics in an index-addressed
-// slice); the sub-instance is in local coordinates.
+// slice); the sub-instance is in local coordinates, shared and read-only
+// (see Plan.SubInstance).
 type Solver func(ctx context.Context, index int, sub *model.Instance) (*model.Solution, error)
 
 // Scatter solves every shard of the plan concurrently under the workers
@@ -282,71 +289,50 @@ func (p *Plan) Scatter(ctx context.Context, workers int, opts Options, solve Sol
 	start := time.Now()
 	obs.ShardSolves.Inc()
 	obs.ShardCount.Record(int64(p.Len()))
-	type out struct {
-		sol     *model.Solution // local coordinates
-		err     error
-		elapsed time.Duration
-		ran     bool
-	}
-	outs := make([]out, p.Len())
-	// Shard errors are collected in the slots, never returned through
-	// ForEachCtx: one shard failing must not abort its siblings.
-	_ = par.ForEachCtx(ctx, p.Len(), workers, func(i int) error {
-		t0 := time.Now()
-		var sol *model.Solution
-		err := func() (err error) {
-			// Per-shard containment: a panicking shard degrades to Failed
-			// instead of killing the scatter.
-			defer saperr.Contain(&err)
-			faultinject.Fire(ctx, "shard/solve")
-			// One arena per shard worker; the solver's own fan-outs
-			// shadow it again per arm/class worker.
-			a := scratch.Get()
-			defer scratch.Put(a)
-			sub := p.SubInstance(i)
-			obs.ShardTasks.Record(int64(len(sub.Tasks)))
-			s, err := solve(scratch.With(ctx, a), i, sub)
-			if err != nil {
-				return err
+	outs := par.Run(ctx, p.Len(), workers, func(ctx context.Context, i int) (*model.Solution, error) {
+		faultinject.Fire(ctx, "shard/solve")
+		// Shards may run concurrently: each gets its own trace track.
+		ctx, endShard := obs.StartSpanTrack(ctx, "shard/solve")
+		defer endShard()
+		sub := p.SubInstance(i)
+		obs.ShardTasks.Record(int64(len(sub.Tasks)))
+		sol, err := solve(ctx, i, sub)
+		if err != nil {
+			return nil, err
+		}
+		if opts.Verify {
+			if verr := model.ValidSAP(sub, sol); verr != nil {
+				return nil, fmt.Errorf("%w: shard %d produced an infeasible solution: %v", saperr.ErrInternal, i, verr)
 			}
-			if opts.Verify {
-				if verr := model.ValidSAP(sub, s); verr != nil {
-					return fmt.Errorf("%w: shard %d produced an infeasible solution: %v", saperr.ErrInternal, i, verr)
-				}
-			}
-			sol = s
-			return nil
-		}()
-		outs[i] = out{sol: sol, err: err, elapsed: time.Since(t0), ran: true}
-		return nil
+		}
+		return sol, nil
 	})
 	solveElapsed := time.Since(start)
 
 	stitchStart := time.Now()
-	rep := &Report{Shards: p.Len(), Solve: solveElapsed, Scan: p.Scan}
+	rep := &Report{Shards: p.Len(), Solve: solveElapsed, Scan: p.Scan, Outcomes: make([]Outcome, len(outs))}
 	total := 0
-	for i := range outs {
-		o := &outs[i]
-		oc := Outcome{Span: p.spans[i], Elapsed: o.elapsed}
+	for i, o := range outs {
+		oc := &rep.Outcomes[i]
+		*oc = Outcome{Span: p.spans[i], Elapsed: o.Elapsed}
 		switch {
-		case !o.ran:
+		case !o.Ran:
 			oc.State = Skipped
-			oc.Err = saperr.Cancelled(ctx.Err())
+			oc.Err = o.Err
 			rep.Skipped++
-		case o.err != nil:
+		case o.Err != nil:
 			oc.State = Failed
-			oc.Err = fmt.Errorf("shard %d (edges [%d,%d)): %w", i, p.spans[i].Lo, p.spans[i].Hi, o.err)
+			oc.Err = fmt.Errorf("shard %d (edges [%d,%d)): %w", i, p.spans[i].Lo, p.spans[i].Hi, o.Err)
 			rep.Failed++
 		default:
 			oc.State = Completed
-			oc.Weight = o.sol.Weight()
+			oc.Weight = o.Val.Weight()
 			rep.Completed++
-			total += len(o.sol.Items)
+			total += len(o.Val.Items)
 		}
 		if p.spans[i].Tasks > rep.LargestTasks {
 			rep.LargestTasks = p.spans[i].Tasks
 		}
-		rep.Outcomes = append(rep.Outcomes, oc)
 	}
 	if rep.Completed == 0 {
 		var first error
@@ -363,13 +349,18 @@ func (p *Plan) Scatter(ctx context.Context, workers int, opts Options, solve Sol
 	}
 	// Stitch in span order: shards are disjoint edge windows left to
 	// right, so concatenation preserves both feasibility and determinism.
+	// Each placement is lifted back to global coordinates as it is copied.
 	sol := &model.Solution{Items: make([]model.Placement, 0, total)}
 	for i, o := range outs {
-		if o.sol == nil {
+		if o.Val == nil {
 			continue
 		}
-		lifted := p.spans[i].Lift(o.sol)
-		sol.Items = append(sol.Items, lifted.Items...)
+		lo := p.spans[i].Lo
+		for _, pl := range o.Val.Items {
+			pl.Task.Start += lo
+			pl.Task.End += lo
+			sol.Items = append(sol.Items, pl)
+		}
 	}
 	rep.Stitch = time.Since(stitchStart)
 	obs.ShardStitchNs.Record(int64(rep.Stitch))

@@ -71,6 +71,24 @@ func TestComputeSubInstanceRebasesAndSharesCapacity(t *testing.T) {
 	}
 }
 
+// TestSubInstanceAppendIsolation: all shards' tasks share one slice and
+// every capacity window shares the parent's, so an append on one shard's
+// slices must reallocate rather than spill into its neighbour's memory.
+func TestSubInstanceAppendIsolation(t *testing.T) {
+	in := islands3()
+	p := shard.Compute(context.Background(), in)
+	sub0, sub1 := p.SubInstance(0), p.SubInstance(1)
+	wantTask := sub1.Tasks[0]
+	_ = append(sub0.Tasks, model.Task{ID: 99})
+	_ = append(sub0.Capacity, 999)
+	if sub1.Tasks[0] != wantTask {
+		t.Errorf("append on shard 0's tasks clobbered shard 1's: %+v", sub1.Tasks[0])
+	}
+	if in.Capacity[2] != 10 {
+		t.Errorf("append on shard 0's window clobbered the parent's cut edge: %v", in.Capacity)
+	}
+}
+
 func TestComputeDegenerate(t *testing.T) {
 	// Dense: every edge loaded → one span, no decomposition.
 	dense := &model.Instance{

@@ -113,10 +113,10 @@ func SolveCtx(ctx context.Context, in *model.Instance, p Params) (*Result, error
 	// Class t − tLo holds classTasks[first[t−tLo]:first[t−tLo+1]], in task
 	// order.
 	cls := a.Ints(len(in.Tasks))
-	bot := in.BottleneckFunc()
+	bot := in.BottleneckLookup()
 	tLo, tHi := math.MaxInt, math.MinInt
 	for i, t := range in.Tasks {
-		cls[i] = floorLog2(bot(t))
+		cls[i] = floorLog2(bot.Of(t))
 		tLo, tHi = min(tLo, cls[i]), max(tHi, cls[i])
 	}
 	first := a.IntsZero(tHi - tLo + 2)
@@ -146,68 +146,46 @@ func SolveCtx(ctx context.Context, in *model.Instance, p Params) (*Result, error
 	// A class's strip takes at most one placement per task, so class t
 	// gets the placement range of its tasks.
 	classItems := a.Placements(len(in.Tasks))
+	// Classes that completed before a cancellation survive into the merge.
+	// Class workers only read the class lists and write their own
+	// placement ranges of them.
 	type classOut struct {
 		report ClassReport
 		items  []model.Placement
-		ran    bool
 		skip   bool
-		err    error
 	}
-	// ForEachCtx with caller-owned slots (not MapCtx) so the classes that
-	// completed before a cancellation survive into the merge.
-	outs := make([]classOut, len(ts))
-	// A single worker runs the classes one after another on the arena of
-	// ctx. Concurrent workers each take their own arena; they only read
-	// the class lists and write their own placement ranges of it.
-	concurrent := par.Workers(p.Workers, len(ts)) > 1
-	_ = par.ForEachCtx(ctx, len(ts), p.Workers, func(i int) error {
+	outs := par.Run(ctx, len(ts), p.Workers, func(ctx context.Context, i int) (classOut, error) {
 		t := ts[i]
 		if t < 1 {
-			outs[i] = classOut{skip: true} // strip height 2^{t-1} < 1: nothing fits
-			return nil
+			return classOut{skip: true}, nil // strip height 2^{t-1} < 1: nothing fits
 		}
 		lo, hi := first[t-tLo], first[t-tLo+1]
-		report, items, err := func() (report ClassReport, items []model.Placement, err error) {
-			defer saperr.Contain(&err)
-			classCtx := ctx
-			if concurrent {
-				ca := scratch.Get()
-				defer scratch.Put(ca)
-				classCtx = scratch.With(ctx, ca)
-			}
-			classCtx, endClass := obs.StartSpanTrack(classCtx, "smallsap/class")
-			defer endClass()
-			faultinject.Fire(classCtx, "smallsap/class")
-			return solveClass(classCtx, in.Capacity, classTasks[lo:hi], t, p, classItems[lo:lo:hi])
-		}()
-		if err != nil {
-			outs[i] = classOut{ran: true, err: fmt.Errorf("smallsap: class t=%d: %w", t, err)}
-			return nil
-		}
-		outs[i] = classOut{report: report, items: items, ran: true}
-		return nil
+		ctx, endClass := obs.StartSpanTrack(ctx, "smallsap/class")
+		defer endClass()
+		faultinject.Fire(ctx, "smallsap/class")
+		report, items, err := solveClass(ctx, in.Capacity, classTasks[lo:hi], t, p, classItems[lo:lo:hi])
+		return classOut{report: report, items: items}, err
 	})
 	attempted, completed, placed := 0, 0, 0
-	for _, out := range outs {
-		if out.skip {
+	for i, out := range outs {
+		if out.Val.skip {
 			continue
 		}
 		attempted++
-		if out.err != nil {
+		switch {
+		case !out.Ran:
 			res.Degraded = true
-			res.ClassErrs = append(res.ClassErrs, out.err)
+			res.ClassErrs = append(res.ClassErrs, out.Err)
 			continue
-		}
-		if !out.ran {
-			// Slot never ran: dispatch stopped by cancellation.
+		case out.Err != nil:
 			res.Degraded = true
-			res.ClassErrs = append(res.ClassErrs, saperr.Cancelled(ctx.Err()))
+			res.ClassErrs = append(res.ClassErrs, fmt.Errorf("smallsap: class t=%d: %w", ts[i], out.Err))
 			continue
 		}
 		completed++
-		res.Classes = append(res.Classes, out.report)
-		res.LPBoundTotal += out.report.LPBound
-		placed += len(out.items)
+		res.Classes = append(res.Classes, out.Val.report)
+		res.LPBoundTotal += out.Val.report.LPBound
+		placed += len(out.Val.items)
 	}
 	if attempted > 0 && completed == 0 {
 		return nil, fmt.Errorf("smallsap: no class completed: %w", res.ClassErrs[0])
@@ -215,8 +193,8 @@ func SolveCtx(ctx context.Context, in *model.Instance, p Params) (*Result, error
 	if placed > 0 {
 		res.Solution.Items = make([]model.Placement, 0, placed)
 		for _, out := range outs {
-			if out.ran && out.err == nil {
-				res.Solution.Items = append(res.Solution.Items, out.items...)
+			if out.Err == nil {
+				res.Solution.Items = append(res.Solution.Items, out.Val.items...)
 			}
 		}
 	}

@@ -41,7 +41,6 @@ import (
 	"sapalloc/internal/obs"
 	"sapalloc/internal/par"
 	"sapalloc/internal/saperr"
-	"sapalloc/internal/scratch"
 	"sapalloc/internal/ufpp"
 )
 
@@ -81,8 +80,9 @@ const (
 	ArmLarge
 )
 
-// armSpanNames are the trace-span names per arm, precomputed so the
-// disabled-tracing path does not pay a string concatenation.
+// armSpanNames are the trace-span and fault-site names per arm,
+// precomputed so the disabled-tracing path does not pay a string
+// concatenation.
 var armSpanNames = [3]string{"ufppfull/arm/small", "ufppfull/arm/medium", "ufppfull/arm/large"}
 
 func (a Arm) String() string {
@@ -132,29 +132,19 @@ func SolveCtx(ctx context.Context, in *model.Instance, p Params) (res *Result, e
 	small, medium, large := partition(in, p.DeltaDen)
 	res = &Result{}
 
-	type armOut struct {
-		sel  []model.Task
-		done bool
-	}
-	var outs [3]armOut
-	runArm := func(i int) (sel []model.Task, err error) {
-		defer saperr.Contain(&err)
-		// Arenas are single-goroutine: each arm takes its own pooled arena
-		// and shadows the shared ctx with it for the layers below.
-		a := scratch.Get()
-		defer scratch.Put(a)
-		armCtx, endArm := obs.StartSpanTrack(scratch.With(ctx, a), armSpanNames[i])
+	// Each arm is contained on its own: a failed or cancelled arm lands in
+	// ArmErrs and never kills its siblings.
+	outs := par.Run(ctx, len(armSpanNames), p.Workers, func(ctx context.Context, i int) ([]model.Task, error) {
+		ctx, endArm := obs.StartSpanTrack(ctx, armSpanNames[i])
 		defer endArm()
+		faultinject.Fire(ctx, armSpanNames[i])
 		switch Arm(i) {
 		case ArmSmall:
-			faultinject.Fire(armCtx, "ufppfull/arm/small")
-			return solveSmall(armCtx, in.Restrict(small), p)
+			return solveSmall(ctx, in.Restrict(small), p)
 		case ArmMedium:
-			faultinject.Fire(armCtx, "ufppfull/arm/medium")
-			return solveMedium(armCtx, in.Restrict(medium), p)
+			return solveMedium(ctx, in.Restrict(medium), p)
 		default:
-			faultinject.Fire(armCtx, "ufppfull/arm/large")
-			sol, err := largesap.SolveCtx(armCtx, in.Restrict(large), largesap.Options{})
+			sol, err := largesap.SolveCtx(ctx, in.Restrict(large), largesap.Options{})
 			if err != nil {
 				if sol != nil && (errors.Is(err, largesap.ErrBudget) || saperr.IsCancelled(err)) {
 					return sol.Tasks(), nil // feasible incumbent stands
@@ -163,44 +153,36 @@ func SolveCtx(ctx context.Context, in *model.Instance, p Params) (res *Result, e
 			}
 			return sol.Tasks(), nil
 		}
-	}
-	// Arm errors land in ArmErrs; one arm failing never kills its siblings.
-	_ = par.ForEachCtx(ctx, len(outs), p.Workers, func(i int) error {
-		sel, err := runArm(i)
-		if err != nil {
-			res.ArmErrs[i] = fmt.Errorf("ufppfull: %s arm: %w", Arm(i), err)
-			return nil
-		}
-		outs[i] = armOut{sel: sel, done: true}
-		return nil
 	})
 	completed := 0
-	for i := range outs {
-		if outs[i].done {
+	for i, out := range outs {
+		switch {
+		case !out.Ran:
+			res.ArmErrs[i] = out.Err
+		case out.Err != nil:
+			res.ArmErrs[i] = fmt.Errorf("ufppfull: %s arm: %w", Arm(i), out.Err)
+		default:
 			completed++
 			continue
 		}
 		res.Degraded = true
-		if res.ArmErrs[i] == nil {
-			res.ArmErrs[i] = saperr.Cancelled(ctx.Err())
-		}
 	}
 	if completed == 0 {
 		return nil, fmt.Errorf("ufppfull: no arm completed: %w", res.ArmErrs[ArmSmall])
 	}
-	res.SmallWeight = model.WeightOf(outs[ArmSmall].sel)
-	res.MediumWeight = model.WeightOf(outs[ArmMedium].sel)
-	res.LargeWeight = model.WeightOf(outs[ArmLarge].sel)
+	res.SmallWeight = model.WeightOf(outs[ArmSmall].Val)
+	res.MediumWeight = model.WeightOf(outs[ArmMedium].Val)
+	res.LargeWeight = model.WeightOf(outs[ArmLarge].Val)
 
 	// Best-of over completed arms in fixed order (small < medium < large
 	// on ties).
 	first := true
-	for i := range outs {
-		if !outs[i].done {
+	for i, out := range outs {
+		if out.Err != nil {
 			continue
 		}
-		if first || model.WeightOf(outs[i].sel) > model.WeightOf(res.Tasks) {
-			res.Tasks, res.Winner = outs[i].sel, Arm(i)
+		if first || model.WeightOf(out.Val) > model.WeightOf(res.Tasks) {
+			res.Tasks, res.Winner = out.Val, Arm(i)
 			first = false
 		}
 	}
@@ -210,9 +192,9 @@ func SolveCtx(ctx context.Context, in *model.Instance, p Params) (res *Result, e
 
 // partition mirrors core.Partition (k = 2, β = ¼).
 func partition(in *model.Instance, deltaDen int64) (small, medium, large []model.Task) {
-	bot := in.BottleneckFunc()
+	bot := in.BottleneckLookup()
 	for _, t := range in.Tasks {
-		b := bot(t)
+		b := bot.Of(t)
 		switch {
 		case t.Demand*deltaDen <= b:
 			small = append(small, t)
@@ -232,9 +214,9 @@ func partition(in *model.Instance, deltaDen int64) (small, medium, large []model
 // < 2^{t-1}, and every edge used by class t has capacity ≥ 2^t.
 func solveSmall(ctx context.Context, in *model.Instance, p Params) ([]model.Task, error) {
 	classes := map[int][]model.Task{}
-	bot := in.BottleneckFunc()
+	bot := in.BottleneckLookup()
 	for _, t := range in.Tasks {
-		cls := floorLog2(bot(t))
+		cls := floorLog2(bot.Of(t))
 		classes[cls] = append(classes[cls], t)
 	}
 	ts := make([]int, 0, len(classes))
@@ -244,19 +226,18 @@ func solveSmall(ctx context.Context, in *model.Instance, p Params) ([]model.Task
 		}
 	}
 	sort.Ints(ts)
-	sels, err := par.MapCtx(ctx, len(ts), p.Workers, func(i int) ([]model.Task, error) {
-		// Per-class worker: own arena, never the caller's (the class solves
-		// run concurrently and arenas are single-goroutine).
-		a := scratch.Get()
-		defer scratch.Put(a)
+	sels := par.Run(ctx, len(ts), p.Workers, func(ctx context.Context, i int) ([]model.Task, error) {
 		t := ts[i]
 		b := int64(1) << uint(t)
 		classIn := in.Restrict(classes[t]).ClipCapacities(2 * b)
-		sel, _, err := ufpp.HalfPackableCtx(scratch.With(ctx, a), classIn, b, p.Round)
+		sel, _, err := ufpp.HalfPackableCtx(ctx, classIn, b, p.Round)
 		return sel, err
 	})
-	if err != nil {
-		return nil, err
+	// The arm fails on the first class error in index order.
+	for _, sel := range sels {
+		if sel.Err != nil {
+			return nil, sel.Err
+		}
 	}
 	var best []model.Task
 	var bestW int64 = -1
@@ -264,7 +245,7 @@ func solveSmall(ctx context.Context, in *model.Instance, p Params) ([]model.Task
 		var union []model.Task
 		for i, t := range ts {
 			if t%2 == r {
-				union = append(union, sels[i]...)
+				union = append(union, sels[i].Val...)
 			}
 		}
 		if w := model.WeightOf(union); w > bestW {
@@ -286,9 +267,9 @@ func solveMedium(ctx context.Context, in *model.Instance, p Params) ([]model.Tas
 		ell = 1
 	}
 	classTasks := map[int][]model.Task{}
-	bot := in.BottleneckFunc()
+	bot := in.BottleneckLookup()
 	for _, t := range in.Tasks {
-		top := floorLog2(bot(t))
+		top := floorLog2(bot.Of(t))
 		for k := top - ell + 1; k <= top; k++ {
 			classTasks[k] = append(classTasks[k], t)
 		}
@@ -298,7 +279,7 @@ func solveMedium(ctx context.Context, in *model.Instance, p Params) ([]model.Tas
 		ks = append(ks, k)
 	}
 	sort.Ints(ks)
-	sels, err := par.MapCtx(ctx, len(ks), p.Workers, func(i int) ([]model.Task, error) {
+	sels := par.Run(ctx, len(ks), p.Workers, func(ctx context.Context, i int) ([]model.Task, error) {
 		k := ks[i]
 		classIn := in.Restrict(classTasks[k])
 		// Halve into a fresh slice: Restrict shares its capacity slice with
@@ -317,16 +298,17 @@ func solveMedium(ctx context.Context, in *model.Instance, p Params) ([]model.Tas
 			}
 		}
 		classIn = &model.Instance{Capacity: caps, Tasks: classIn.Tasks}
-		a := scratch.Get()
-		defer scratch.Put(a)
-		sel, err := exact.SolveUFPPCtx(scratch.With(ctx, a), classIn, p.Exact)
+		sel, err := exact.SolveUFPPCtx(ctx, classIn, p.Exact)
 		if errors.Is(err, exact.ErrBudget) || (saperr.IsCancelled(err) && sel != nil) {
 			err = nil // incumbent is feasible; guarantee degrades gracefully
 		}
 		return sel, err
 	})
-	if err != nil {
-		return nil, err
+	// The arm fails on the first class error in index order.
+	for _, sel := range sels {
+		if sel.Err != nil {
+			return nil, sel.Err
+		}
 	}
 	period := ell + 1
 	var best []model.Task
@@ -341,7 +323,7 @@ func solveMedium(ctx context.Context, in *model.Instance, p Params) ([]model.Tas
 			if ((k-r)%period+period)%period != 0 {
 				continue
 			}
-			for _, t := range sels[i] {
+			for _, t := range sels[i].Val {
 				if !seen[t.ID] {
 					seen[t.ID] = true
 					union = append(union, t)

@@ -32,7 +32,7 @@ func TestAllocsSolveExact(t *testing.T) {
 	a := scratch.Get()
 	defer scratch.Put(a)
 	ctx := scratch.With(context.Background(), a)
-	allocBudget(t, "SolveExactCtx/10tasks", 16, func() {
+	allocBudget(t, "SolveExactCtx/10tasks", 6, func() {
 		a.Reset()
 		if _, err := SolveExactCtx(ctx, in, Options{}); err != nil {
 			t.Fatal(err)
