@@ -111,8 +111,8 @@ type dpState struct {
 // iteration was arbitrary.
 func solveDP(ctx context.Context, in *model.Instance, opts Options) (*model.Solution, error) {
 	edges := in.Edges()
-	a, release := scratch.Acquire(ctx)
-	defer release()
+	a, owned := scratch.Acquire(ctx)
+	defer scratch.Put(owned)
 	bot := in.BottleneckLookup()
 	// CSR layout of schedulable tasks by start edge (index order per edge,
 	// matching the former append order).

@@ -31,7 +31,7 @@ func TestAllocsCoreDispatch(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	f() // warm the arena pool
 	got := testing.AllocsPerRun(10, f)
-	const budget = 43
+	const budget = 41
 	t.Logf("core.Solve/40tasks: %.1f allocs/op (budget %d)", got, budget)
 	if got > budget {
 		t.Errorf("core.Solve/40tasks: %.1f allocs/op exceeds budget %d", got, budget)
@@ -58,7 +58,7 @@ func TestAllocsShardedSolve(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	f() // warm the arena pool
 	got := testing.AllocsPerRun(10, f)
-	const budget = 955
+	const budget = 922
 	t.Logf("core.Solve/archipelago-320: %.1f allocs/op (budget %d)", got, budget)
 	if got > budget {
 		t.Errorf("core.Solve/archipelago-320: %.1f allocs/op exceeds budget %d", got, budget)

@@ -282,8 +282,8 @@ func solveMono(ctx context.Context, start time.Time, in *model.Instance, p Param
 	// The partition and, when the arms run one after another, all three
 	// arms work on the arena of ctx (a concurrent shard's or the caller's)
 	// or on a pooled one.
-	ctx, a, release := scratch.Attach(ctx)
-	defer release()
+	ctx, a, owned := scratch.Attach(ctx)
+	defer scratch.Put(owned)
 	_, endPartition := obs.StartSpan(ctx, "core/partition")
 	small, medium, large := partition(in, p.DeltaDen, a, a.Tasks(len(in.Tasks)))
 	endPartition()

@@ -152,8 +152,8 @@ func PackStrip(tasks []model.Task, ceiling int64, ord Order) (sol *model.Solutio
 // On cancellation the tasks not yet placed are moved to dropped — the
 // partial packing is a feasible strip solution in its own right.
 func PackStripCtx(ctx context.Context, tasks []model.Task, ceiling int64, ord Order) (sol *model.Solution, dropped []model.Task) {
-	a, release := scratch.Acquire(ctx)
-	defer release()
+	a, owned := scratch.Acquire(ctx)
+	defer scratch.Put(owned)
 	items, dropped := packStripIn(ctx, a, tasks, ceiling, ord, nil, nil)
 	return &model.Solution{Items: items}, dropped
 }
@@ -238,8 +238,8 @@ func ConvertToStrip(tasks []model.Task, ceiling int64) ConvertResult {
 // ConvertToStripCtx is ConvertToStrip under a context; a cancelled order
 // trial keeps whatever it packed, so the result is always feasible.
 func ConvertToStripCtx(ctx context.Context, tasks []model.Task, ceiling int64) ConvertResult {
-	a, release := scratch.Acquire(ctx)
-	defer release()
+	a, owned := scratch.Acquire(ctx)
+	defer scratch.Put(owned)
 	items, dropped, w := ConvertToStripIn(ctx, a, tasks, ceiling, a.Placements(len(tasks))[:0])
 	sol := &model.Solution{}
 	if len(items) > 0 {

@@ -447,8 +447,8 @@ func AppendSAPCtx(ctx context.Context, dst []model.Placement, in *model.Instance
 	if n > MaxTasks {
 		return nil, fmt.Errorf("%w: %d tasks (max %d)", ErrTooLarge, n, MaxTasks)
 	}
-	a, release := scratch.Acquire(ctx)
-	defer release()
+	a, owned := scratch.Acquire(ctx)
+	defer scratch.Put(owned)
 	// Each task is its own single alternative.
 	ends := a.Ints(n)
 	for i := range ends {
@@ -487,8 +487,8 @@ func SolveChoicesCtx(ctx context.Context, capacity []int64, alts [][]model.Task,
 	if nc > MaxChoices {
 		return nil, fmt.Errorf("%w: %d placement choices (max %d)", ErrTooLarge, nc, MaxChoices)
 	}
-	a, release := scratch.Acquire(ctx)
-	defer release()
+	a, owned := scratch.Acquire(ctx)
+	defer scratch.Put(owned)
 	flat, ends := a.Tasks(nc), a.Ints(n)
 	nc = 0
 	for i, g := range alts {
@@ -568,8 +568,8 @@ func SolveUFPPCtx(ctx context.Context, in *model.Instance, opts Options) ([]mode
 	if n > MaxTasks {
 		return nil, fmt.Errorf("%w: %d tasks (max %d)", ErrTooLarge, n, MaxTasks)
 	}
-	sc, release := scratch.Acquire(ctx)
-	defer release()
+	sc, owned := scratch.Acquire(ctx)
+	defer scratch.Put(owned)
 	// Order by weight descending for good incumbents early. As in
 	// greedySeed, the comparator ties arbitrarily on equal weights and
 	// budget-truncated searches expose that order, which slices.SortFunc
@@ -670,8 +670,8 @@ func SolveRingSAPCtx(ctx context.Context, r *model.RingInstance, opts Options) (
 	if n > MaxTasks {
 		return nil, fmt.Errorf("%w: %d ring tasks (max %d)", ErrTooLarge, n, MaxTasks)
 	}
-	a, release := scratch.Acquire(ctx)
-	defer release()
+	a, owned := scratch.Acquire(ctx)
+	defer scratch.Put(owned)
 	items, choices := ringChoices(r, a)
 	var s searcher
 	s.init(ctx, items, choices, opts.MaxNodes, a)

@@ -115,8 +115,8 @@ func Solve(in *model.Instance, opts Options) (*model.Solution, error) {
 // it carries none); only the returned Solution is fresh memory.
 func SolveCtx(ctx context.Context, in *model.Instance, opts Options) (*model.Solution, error) {
 	opts = opts.withDefaults()
-	a, release := scratch.Acquire(ctx)
-	defer release()
+	a, owned := scratch.Acquire(ctx)
+	defer scratch.Put(owned)
 	rects := appendRectangles(rectKind.Make(a, len(in.Tasks))[:0], in)
 	ctx, endMWIS := obs.StartSpan(ctx, "largesap/mwis")
 	defer endMWIS()

@@ -44,8 +44,8 @@ func UFPPFractional(in *model.Instance) (x []float64, opt float64, err error) {
 
 // UFPPFractionalCtx is UFPPFractional under a context.
 func UFPPFractionalCtx(ctx context.Context, in *model.Instance) (x []float64, opt float64, err error) {
-	a, release := scratch.Acquire(ctx)
-	defer release()
+	a, owned := scratch.Acquire(ctx)
+	defer scratch.Put(owned)
 	ax, opt, err := UFPPFractionalIn(ctx, a, in)
 	if err != nil {
 		return nil, 0, err

@@ -97,8 +97,8 @@ func SolveCtx(ctx context.Context, p *Problem) (*Solution, error) {
 			return nil, fmt.Errorf("%w: upper bound of column %d is negative (%g)", ErrMalformed, j, u)
 		}
 	}
-	a, release := scratch.Acquire(ctx)
-	defer release()
+	a, owned := scratch.Acquire(ctx)
+	defer scratch.Put(owned)
 	var tab tableau
 	tab.init(a, m, n)
 	for i, row := range p.A {

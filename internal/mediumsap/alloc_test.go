@@ -30,7 +30,7 @@ func TestAllocsSolveMedium(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	f() // warm the arena pool
 	got := testing.AllocsPerRun(10, f)
-	const budget = 9
+	const budget = 8
 	t.Logf("mediumsap.Solve/24tasks: %.1f allocs/op (budget %d)", got, budget)
 	if got > budget {
 		t.Errorf("mediumsap.Solve/24tasks: %.1f allocs/op exceeds budget %d", got, budget)

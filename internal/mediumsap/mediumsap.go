@@ -136,8 +136,8 @@ func SolveCtx(ctx context.Context, in *model.Instance, p Params) (*Result, error
 		res.Solution = &model.Solution{}
 		return res, nil
 	}
-	ctx, a, release := scratch.Attach(ctx)
-	defer release()
+	ctx, a, owned := scratch.Attach(ctx)
+	defer scratch.Put(owned)
 
 	// Assign every task to its ℓ classes: k with 2^k ≤ b(j) < 2^{k+ℓ}, i.e.
 	// k ∈ { floor(log2 b) − ℓ + 1, …, floor(log2 b) }. k may be negative
@@ -290,8 +290,8 @@ func ElevatorCtx(ctx context.Context, in *model.Instance, tasks []model.Task, k,
 // appends the elevated class solution to dst, in task order, and returns
 // the extended slice; the class sub-instance lives in the context's arena.
 func elevate(ctx context.Context, capacity []int64, tasks []model.Task, k, ell int, p Params, dst []model.Placement) (items []model.Placement, degraded bool, err error) {
-	a, release := scratch.Acquire(ctx)
-	defer release()
+	a, owned := scratch.Acquire(ctx)
+	defer scratch.Put(owned)
 	// The exact search takes at most MaxTasks tasks, so a larger class is
 	// cut to its MaxTasks heaviest: a feasible best effort, degraded like a
 	// truncated search.

@@ -3,6 +3,7 @@ package model
 import (
 	"cmp"
 	"encoding/binary"
+	"io"
 	"slices"
 )
 
@@ -16,9 +17,10 @@ import (
 // instances, and cheap (one pass + one sort).
 //
 // Canonicalize* returns the instance the encoding describes (tasks in
-// normal-form order). Servers solve the canonical instance rather than the
-// as-received one, so every permutation of the same task set observes the
-// same response bytes.
+// normal-form order); Normalize sorts an instance's own tasks into that
+// order. Servers solve the canonical instance rather than the as-received
+// one, so every permutation of the same task set observes the same
+// response bytes.
 
 // compareCanonical orders tasks into the sorted normal form: by interval,
 // then demand, then weight, then ID. IDs are unique (Validate), so the
@@ -39,8 +41,72 @@ func compareCanonical(a, b Task) int {
 	return cmp.Compare(a.ID, b.ID)
 }
 
-// compareCanonicalRing is compareCanonical for ring tasks.
-func compareCanonicalRing(a, b RingTask) int { return compareCanonical(Task(a), Task(b)) }
+// compareCanonicalAs is compareCanonical for either task type.
+func compareCanonicalAs[T Task | RingTask](a, b T) int { return compareCanonical(Task(a), Task(b)) }
+
+// The packed sort key of a task: Start in the top keyStartBits bits, End in
+// the next keyEndBits and the task's index in the low keyIndexBits. Validate
+// bounds End by MaxEdges = 2^24, so every valid path or ring interval
+// fits; sorting the keys orders the tasks by interval.
+const (
+	keyIndexBits = 15
+	keyEndBits   = 25
+	keyStartBits = 24
+	keyIndexMask = 1<<keyIndexBits - 1
+)
+
+// sortCanonical sorts tasks in place into the normal form of
+// compareCanonical. Instances of at most 2^15 tasks with intervals inside
+// the packed ranges, which covers every instance the serving layer takes,
+// sort as packed integer keys with each run of equal intervals then ordered
+// by compareCanonical; any other input sorts by compareCanonical alone.
+// compareCanonical is a total order on distinct tasks, so both ways yield
+// the same sequence.
+func sortCanonical[T Task | RingTask](tasks []T) {
+	n := len(tasks)
+	if n < 2 {
+		return
+	}
+	if n > 1<<keyIndexBits {
+		slices.SortFunc(tasks, compareCanonicalAs[T])
+		return
+	}
+	b := getBufs()
+	defer putBufs(b)
+	keys := b.keys[:0]
+	for i, x := range tasks {
+		t := Task(x)
+		if uint(t.Start) >= 1<<keyStartBits || uint(t.End) >= 1<<keyEndBits {
+			slices.SortFunc(tasks, compareCanonicalAs[T])
+			return
+		}
+		keys = append(keys, uint64(t.Start)<<(keyEndBits+keyIndexBits)|uint64(t.End)<<keyIndexBits|uint64(i))
+	}
+	slices.Sort(keys)
+	orig := b.tasks[:0]
+	for _, x := range tasks {
+		orig = append(orig, Task(x))
+	}
+	for i, k := range keys {
+		tasks[i] = T(orig[k&keyIndexMask])
+	}
+	for lo := 0; lo < n; {
+		hi := lo + 1
+		for hi < n && keys[hi]>>keyIndexBits == keys[lo]>>keyIndexBits {
+			hi++
+		}
+		if hi-lo > 1 {
+			slices.SortFunc(tasks[lo:hi], compareCanonicalAs[T])
+		}
+		lo = hi
+	}
+	b.keys, b.tasks = keys, orig
+}
+
+// Normalize sorts the instance's tasks in place into sorted normal form.
+// A caller that owns the instance, such as a server holding a freshly
+// decoded request, uses it instead of Canonicalize to skip the copy.
+func (in *Instance) Normalize() { sortCanonical(in.Tasks) }
 
 // Canonicalize returns a copy of the instance with tasks in sorted normal
 // form (capacity slice shared — it is read-only throughout the library).
@@ -48,34 +114,72 @@ func compareCanonicalRing(a, b RingTask) int { return compareCanonical(Task(a), 
 // permutation of the receiver.
 func (in *Instance) Canonicalize() *Instance {
 	out := &Instance{Capacity: in.Capacity, Tasks: append([]Task(nil), in.Tasks...)}
-	slices.SortFunc(out.Tasks, compareCanonical)
+	out.Normalize()
 	return out
 }
 
-// appendU64 appends v in fixed-width big-endian form.
-func appendU64(b []byte, v uint64) []byte {
-	return binary.BigEndian.AppendUint64(b, v)
+// canonicalEncoder builds the canonical encoding in buf. With w set it
+// hands buf to w whenever the next word would not fit and once at the end,
+// so the encoding streams through a buffer of fixed size; without w it
+// grows buf to hold the whole encoding.
+type canonicalEncoder struct {
+	w   io.Writer
+	buf []byte
+	err error // the first error w returned
 }
 
-// appendTasksCanonical appends the task count and the tasks in the normal
-// form that compare sorts them into. Tasks already in normal form, as a
-// canonical instance's are, are encoded as they stand; others are sorted in
-// a copy.
-func appendTasksCanonical[T Task | RingTask](b []byte, tasks []T, compare func(a, b T) int) []byte {
-	if !slices.IsSortedFunc(tasks, compare) {
-		tasks = slices.Clone(tasks)
-		slices.SortFunc(tasks, compare)
+// minEncodeBuf is the smallest staging buffer a streamed encoding uses.
+const minEncodeBuf = 64
+
+func (e *canonicalEncoder) flush() {
+	if len(e.buf) > 0 && e.err == nil {
+		_, e.err = e.w.Write(e.buf)
 	}
-	b = appendU64(b, uint64(len(tasks)))
+	e.buf = e.buf[:0]
+}
+
+// u64 appends v in fixed-width big-endian form.
+func (e *canonicalEncoder) u64(v uint64) {
+	if e.w != nil && cap(e.buf)-len(e.buf) < 8 {
+		e.flush()
+	}
+	e.buf = binary.BigEndian.AppendUint64(e.buf, v)
+}
+
+// encodeCanonical encodes a kind tag, the capacity profile in edge order,
+// the task count and the tasks in the normal form of compareCanonical.
+// Tasks already in normal form, as a canonical instance's are, are encoded
+// as they stand; others are sorted in a copy.
+func encodeCanonical[T Task | RingTask](e *canonicalEncoder, tag byte, capacity []int64, tasks []T) {
+	e.buf = append(e.buf, tag)
+	e.u64(uint64(len(capacity)))
+	for _, c := range capacity {
+		e.u64(uint64(c))
+	}
+	if !slices.IsSortedFunc(tasks, compareCanonicalAs[T]) {
+		tasks = slices.Clone(tasks)
+		sortCanonical(tasks)
+	}
+	e.u64(uint64(len(tasks)))
 	for _, x := range tasks {
 		t := Task(x)
-		b = appendU64(b, uint64(int64(t.ID)))
-		b = appendU64(b, uint64(int64(t.Start)))
-		b = appendU64(b, uint64(int64(t.End)))
-		b = appendU64(b, uint64(t.Demand))
-		b = appendU64(b, uint64(t.Weight))
+		e.u64(uint64(int64(t.ID)))
+		e.u64(uint64(int64(t.Start)))
+		e.u64(uint64(int64(t.End)))
+		e.u64(uint64(t.Demand))
+		e.u64(uint64(t.Weight))
 	}
-	return b
+}
+
+// writeCanonical streams an encoding to w through buf.
+func writeCanonical[T Task | RingTask](w io.Writer, buf []byte, tag byte, capacity []int64, tasks []T) error {
+	if cap(buf) < minEncodeBuf {
+		buf = make([]byte, 0, minEncodeBuf)
+	}
+	e := canonicalEncoder{w: w, buf: buf[:0]}
+	encodeCanonical(&e, tag, capacity, tasks)
+	e.flush()
+	return e.err
 }
 
 // AppendCanonical appends the canonical encoding of the instance to b and
@@ -84,12 +188,17 @@ func appendTasksCanonical[T Task | RingTask](b []byte, tasks []T, compare func(a
 // big-endian words. Instances with equal capacity profiles and equal task
 // multisets produce identical bytes; any other pair differs.
 func (in *Instance) AppendCanonical(b []byte) []byte {
-	b = append(b, 'P') // kind tag: path
-	b = appendU64(b, uint64(len(in.Capacity)))
-	for _, c := range in.Capacity {
-		b = appendU64(b, uint64(c))
-	}
-	return appendTasksCanonical(b, in.Tasks, compareCanonical)
+	e := canonicalEncoder{buf: b}
+	encodeCanonical(&e, 'P', in.Capacity, in.Tasks) // kind tag: path
+	return e.buf
+}
+
+// WriteCanonical writes the canonical encoding of the instance, the bytes
+// CanonicalBytes returns, to w in pieces of at most cap(buf) bytes staged in
+// buf, and returns the first error w reports. A hasher that reuses buf
+// never holds the encoding whole.
+func (in *Instance) WriteCanonical(w io.Writer, buf []byte) error {
+	return writeCanonical(w, buf, 'P', in.Capacity, in.Tasks)
 }
 
 // CanonicalBytes returns the canonical encoding of the instance.
@@ -97,11 +206,15 @@ func (in *Instance) CanonicalBytes() []byte {
 	return in.AppendCanonical(make([]byte, 0, 9+8*(len(in.Capacity)+1+5*len(in.Tasks))))
 }
 
+// Normalize sorts the ring instance's tasks in place into sorted normal
+// form.
+func (r *RingInstance) Normalize() { sortCanonical(r.Tasks) }
+
 // Canonicalize returns a copy of the ring instance with tasks in sorted
 // normal form (capacity slice shared).
 func (r *RingInstance) Canonicalize() *RingInstance {
 	out := &RingInstance{Capacity: r.Capacity, Tasks: append([]RingTask(nil), r.Tasks...)}
-	slices.SortFunc(out.Tasks, compareCanonicalRing)
+	out.Normalize()
 	return out
 }
 
@@ -109,12 +222,14 @@ func (r *RingInstance) Canonicalize() *RingInstance {
 // identical to Instance.AppendCanonical but under a distinct kind tag, so a
 // path and a ring with the same numbers never collide.
 func (r *RingInstance) AppendCanonical(b []byte) []byte {
-	b = append(b, 'R') // kind tag: ring
-	b = appendU64(b, uint64(len(r.Capacity)))
-	for _, c := range r.Capacity {
-		b = appendU64(b, uint64(c))
-	}
-	return appendTasksCanonical(b, r.Tasks, compareCanonicalRing)
+	e := canonicalEncoder{buf: b}
+	encodeCanonical(&e, 'R', r.Capacity, r.Tasks) // kind tag: ring
+	return e.buf
+}
+
+// WriteCanonical is Instance.WriteCanonical for ring instances.
+func (r *RingInstance) WriteCanonical(w io.Writer, buf []byte) error {
+	return writeCanonical(w, buf, 'R', r.Capacity, r.Tasks)
 }
 
 // CanonicalBytes returns the canonical encoding of the ring instance.

@@ -198,8 +198,11 @@ func refReadRingJSON(data []byte) (*RingInstance, error) {
 	return r, nil
 }
 
-// FuzzValidSAP checks the validator never panics on arbitrary placements
-// and is consistent with B-packability on accepted ones.
+// FuzzValidSAP checks the validator never panics on arbitrary placements,
+// is consistent with B-packability on accepted ones, and reports the same
+// first violation, word for word, as the map-based reference refValidSAP:
+// the instance repeats IDs and the solution places tasks twice, places
+// altered and foreign tasks, and ties on Start.
 func FuzzValidSAP(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint8(4))
 	f.Add(int64(42), uint8(1), uint8(1))
@@ -217,12 +220,28 @@ func FuzzValidSAP(f *testing.F) {
 			s := int(rng() % uint64(m))
 			e := s + 1 + int(rng()%uint64(m-s))
 			tk := Task{ID: i, Start: s, End: e, Demand: int64(rng()%16) + 1, Weight: int64(rng() % 64)}
+			if rng()%16 == 0 {
+				tk.ID = int(rng() % uint64(i+1)) // a repeated instance ID
+			}
 			in.Tasks = append(in.Tasks, tk)
 			if rng()%2 == 0 {
-				sol.Items = append(sol.Items, Placement{Task: tk, Height: int64(rng()%24) - 2})
+				pl := Placement{Task: tk, Height: int64(rng()%24) - 2}
+				switch rng() % 16 {
+				case 0: // a foreign task
+					pl.Task.ID = n + int(rng()%4)
+				case 1: // an altered task
+					pl.Task.Weight++
+				}
+				sol.Items = append(sol.Items, pl)
+				if rng()%16 == 0 && len(sol.Items) > 1 { // a task placed twice
+					sol.Items = append(sol.Items, sol.Items[rng()%uint64(len(sol.Items))])
+				}
 			}
 		}
 		err := ValidSAP(in, sol)
+		if want := refValidSAP(in, sol); !sameError(err, want) {
+			t.Fatalf("ValidSAP = %v, reference = %v", err, want)
+		}
 		if err == nil {
 			// Accepted solutions must satisfy the makespan bound on every
 			// edge they use.
@@ -252,6 +271,9 @@ func newSplitMix(state uint64) func() uint64 {
 // never panic, every rejection must carry the typed saperr.ErrInfeasibleInput
 // sentinel, and every accepted instance must satisfy the overflow-safety
 // invariants the solvers rely on (demand and weight sums fit in int64).
+// Validate must report the same first error, word for word, as the
+// map-based reference refValidate, and so must the ring Validate on the
+// same numbers read as a ring.
 func FuzzValidateHardened(f *testing.F) {
 	f.Add(int64(1), uint16(2), uint16(3), int64(4), int64(1), int64(1))
 	f.Add(int64(9), uint16(0), uint16(0), int64(0), int64(0), int64(0))
@@ -294,6 +316,16 @@ func FuzzValidateHardened(f *testing.F) {
 			in.Tasks = append(in.Tasks, tk)
 		}
 		err := in.Validate()
+		if want := refValidate(in); !sameError(err, want) {
+			t.Fatalf("Validate = %v, reference = %v", err, want)
+		}
+		ring := &RingInstance{Capacity: in.Capacity}
+		for _, tk := range in.Tasks {
+			ring.Tasks = append(ring.Tasks, RingTask(tk))
+		}
+		if got, want := ring.Validate(), refRingValidate(ring); !sameError(got, want) {
+			t.Fatalf("ring Validate = %v, reference = %v", got, want)
+		}
 		if err != nil {
 			if !errors.Is(err, saperr.ErrInfeasibleInput) {
 				t.Fatalf("Validate rejection lacks typed sentinel: %v", err)

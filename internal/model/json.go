@@ -46,7 +46,18 @@ func (in *Instance) WriteJSON(w io.Writer) error {
 // it. The reader must hold exactly one JSON document: bytes other than
 // whitespace after it are an error.
 func ReadInstanceJSON(r io.Reader) (*Instance, error) {
-	doc, err := readDoc(r, false)
+	data, err := readAll(r, false)
+	if err != nil {
+		return nil, err
+	}
+	return DecodeInstanceJSON(data)
+}
+
+// DecodeInstanceJSON is ReadInstanceJSON for a document held whole in
+// data, which it reads without copying; the instance keeps no reference
+// into data.
+func DecodeInstanceJSON(data []byte) (*Instance, error) {
+	doc, err := decodeDoc(data, false)
 	if err != nil {
 		return nil, err
 	}
@@ -67,7 +78,11 @@ func (r *RingInstance) WriteJSON(w io.Writer) error {
 // ReadRingJSON parses a ring instance written by RingInstance.WriteJSON and
 // validates it. Like ReadInstanceJSON it accepts exactly one JSON document.
 func ReadRingJSON(rd io.Reader) (*RingInstance, error) {
-	doc, err := readDoc(rd, true)
+	data, err := readAll(rd, true)
+	if err != nil {
+		return nil, err
+	}
+	doc, err := decodeDoc(data, true)
 	if err != nil {
 		return nil, err
 	}
@@ -115,19 +130,25 @@ type instanceDoc struct {
 	tasks    []Task
 }
 
-// readDoc reads all of r and decodes it as one instance document of the
-// kind the caller reads, which selects the error texts.
-func readDoc(r io.Reader, ring bool) (instanceDoc, error) {
+// readAll reads all of r for the decode of a path or ring instance, which
+// selects the error text.
+func readAll(r io.Reader, ring bool) ([]byte, error) {
 	// A bytes.Reader writes itself into the buffer in one call, so the
 	// buffer is allocated once, at the document's size.
 	var buf bytes.Buffer
 	if _, err := io.Copy(&buf, r); err != nil {
-		return instanceDoc{}, fmt.Errorf("%s: %w", decodeOp(ring), err)
+		return nil, fmt.Errorf("%s: %w", decodeOp(ring), err)
 	}
-	if doc, ok := scanPlain(buf.Bytes()); ok {
+	return buf.Bytes(), nil
+}
+
+// decodeDoc decodes data as one instance document of the kind the caller
+// reads, which selects the error texts.
+func decodeDoc(data []byte, ring bool) (instanceDoc, error) {
+	if doc, ok := scanPlain(data); ok {
 		return doc, nil
 	}
-	return unmarshalDoc(buf.Bytes(), ring)
+	return unmarshalDoc(data, ring)
 }
 
 // decodeOp names the decode of a path or ring instance in errors.

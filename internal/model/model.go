@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"sort"
 
 	"sapalloc/internal/saperr"
 )
@@ -106,39 +105,85 @@ func (in *Instance) Validate() error {
 			return saperr.Input("edge %d: capacity %d exceeds the magnitude limit %d", e, c, int64(MaxMagnitude))
 		}
 	}
-	seen := make(map[int]bool, len(in.Tasks))
 	var demandSum, weightSum int64
 	for i, t := range in.Tasks {
 		if t.Start < 0 || t.End > m || t.Start >= t.End {
-			return saperr.Input("task %d (id %d): interval [%d,%d) outside path with %d edges", i, t.ID, t.Start, t.End, m)
+			return duplicateBefore(in.Tasks[:i], saperr.Input("task %d (id %d): interval [%d,%d) outside path with %d edges", i, t.ID, t.Start, t.End, m))
 		}
-		if t.Demand <= 0 {
-			return saperr.Input("task %d (id %d): demand %d is not positive", i, t.ID, t.Demand)
+		if err := amountError(i, t); err != nil {
+			return duplicateBefore(in.Tasks[:i], err)
 		}
-		if t.Demand > MaxMagnitude {
-			return saperr.Input("task %d (id %d): demand %d exceeds the magnitude limit %d", i, t.ID, t.Demand, int64(MaxMagnitude))
-		}
-		if t.Weight < 0 {
-			return saperr.Input("task %d (id %d): weight %d is negative", i, t.ID, t.Weight)
-		}
-		if t.Weight > MaxMagnitude {
-			return saperr.Input("task %d (id %d): weight %d exceeds the magnitude limit %d", i, t.ID, t.Weight, int64(MaxMagnitude))
-		}
-		if seen[t.ID] {
-			return saperr.Input("task %d: duplicate id %d", i, t.ID)
-		}
-		seen[t.ID] = true
 		// Belt and braces: the per-field limits already make these sums
 		// safe, but check explicitly so the invariant survives future
 		// limit changes.
 		if demandSum += t.Demand; demandSum < 0 {
-			return saperr.Input("task %d (id %d): demand sum overflows int64", i, t.ID)
+			return duplicateBefore(in.Tasks[:i+1], saperr.Input("task %d (id %d): demand sum overflows int64", i, t.ID))
 		}
 		if weightSum += t.Weight; weightSum < 0 {
-			return saperr.Input("task %d (id %d): weight sum overflows int64", i, t.ID)
+			return duplicateBefore(in.Tasks[:i+1], saperr.Input("task %d (id %d): weight sum overflows int64", i, t.ID))
 		}
 	}
+	return duplicateBefore(in.Tasks, nil)
+}
+
+// amountError checks task i's demand and weight against their limits.
+func amountError(i int, t Task) error {
+	if t.Demand <= 0 {
+		return saperr.Input("task %d (id %d): demand %d is not positive", i, t.ID, t.Demand)
+	}
+	if t.Demand > MaxMagnitude {
+		return saperr.Input("task %d (id %d): demand %d exceeds the magnitude limit %d", i, t.ID, t.Demand, int64(MaxMagnitude))
+	}
+	if t.Weight < 0 {
+		return saperr.Input("task %d (id %d): weight %d is negative", i, t.ID, t.Weight)
+	}
+	if t.Weight > MaxMagnitude {
+		return saperr.Input("task %d (id %d): weight %d exceeds the magnitude limit %d", i, t.ID, t.Weight, int64(MaxMagnitude))
+	}
 	return nil
+}
+
+// duplicateBefore returns the duplicate-ID error of the first task in tasks
+// whose ID an earlier task already has, and err when no ID repeats. The
+// validators check tasks in order and report the first failure, and a
+// repeated ID fails at the repeat, so a caller that failed task i passes the
+// tasks whose duplicate check precedes that failure. Whether an ID repeats
+// is decided by sorting the IDs in pooled memory; only a repeat pays for
+// the in-order scan that words the error.
+func duplicateBefore[T Task | RingTask](tasks []T, err error) error {
+	if !hasDuplicateID(tasks) {
+		return err
+	}
+	seen := make(map[int]bool, len(tasks))
+	for i, x := range tasks {
+		id := Task(x).ID
+		if seen[id] {
+			return saperr.Input("task %d: duplicate id %d", i, id)
+		}
+		seen[id] = true
+	}
+	return err
+}
+
+// hasDuplicateID reports whether two of the tasks share an ID.
+func hasDuplicateID[T Task | RingTask](tasks []T) bool {
+	if len(tasks) < 2 {
+		return false
+	}
+	b := getBufs()
+	defer putBufs(b)
+	ids := b.ids[:0]
+	for _, x := range tasks {
+		ids = append(ids, Task(x).ID)
+	}
+	slices.Sort(ids)
+	b.ids = ids
+	for i := 1; i < len(ids); i++ {
+		if ids[i] == ids[i-1] {
+			return true
+		}
+	}
+	return false
 }
 
 // Clone returns a deep copy of the instance.
@@ -433,20 +478,16 @@ var ErrInfeasible = errors.New("infeasible solution")
 // nil when feasible and an error wrapping ErrInfeasible describing the first
 // violation otherwise.
 func ValidSAP(in *Instance, s *Solution) error {
-	byID := make(map[int]Task, len(in.Tasks))
-	for _, t := range in.Tasks {
-		byID[t.ID] = t
-	}
-	used := make(map[int]bool, len(s.Items))
-	for _, p := range s.Items {
-		t, ok := byID[p.Task.ID]
-		if !ok || t != p.Task {
+	b := getBufs()
+	defer putBufs(b)
+	flags := b.memberFlags(in.Tasks, s.Items)
+	for i, p := range s.Items {
+		switch flags[i] {
+		case notInInstance:
 			return fmt.Errorf("%w: %v not in instance", ErrInfeasible, p.Task)
-		}
-		if used[p.Task.ID] {
+		case scheduledTwice:
 			return fmt.Errorf("%w: task id %d scheduled twice", ErrInfeasible, p.Task.ID)
 		}
-		used[p.Task.ID] = true
 		if p.Height < 0 {
 			return fmt.Errorf("%w: task id %d has negative height %d", ErrInfeasible, p.Task.ID, p.Height)
 		}
@@ -460,15 +501,11 @@ func ValidSAP(in *Instance, s *Solution) error {
 	// Pairwise vertical disjointness on intersecting paths. A sweep keeps
 	// the check near-linear for typical instances: sort by Start and compare
 	// each placement against the actives overlapping it.
-	items := append([]Placement(nil), s.Items...)
-	sort.Slice(items, func(i, j int) bool { return items[i].Task.Start < items[j].Task.Start })
-	type active struct {
-		end    int
-		bottom int64
-		top    int64
-		id     int
-	}
-	var actives []active
+	items := append(b.pls[:0], s.Items...)
+	b.pls = items
+	slices.SortFunc(items, func(p, q Placement) int { return cmp.Compare(p.Task.Start, q.Task.Start) })
+	actives := b.actives[:0]
+	defer func() { b.actives = actives }()
 	for _, p := range items {
 		keep := actives[:0]
 		for _, a := range actives {
@@ -483,9 +520,67 @@ func ValidSAP(in *Instance, s *Solution) error {
 					ErrInfeasible, a.id, p.Task.ID)
 			}
 		}
-		actives = append(actives, active{end: p.Task.End, bottom: p.Height, top: p.Top(), id: p.Task.ID})
+		actives = append(actives, sweepActive{end: p.Task.End, bottom: p.Height, top: p.Top(), id: p.Task.ID})
 	}
 	return nil
+}
+
+// sweepActive is a placement ValidSAP's sweep has passed whose interval may
+// still overlap the next one.
+type sweepActive struct {
+	end    int
+	bottom int64
+	top    int64
+	id     int
+}
+
+// Placement checks of memberFlags.
+const (
+	notInInstance  = 1 // no instance task has the ID, or it differs
+	scheduledTwice = 2 // an earlier placement has the same ID
+)
+
+// memberFlags returns, for each placement, notInInstance when the instance
+// has no task equal to the placed one under its ID, scheduledTwice when an
+// earlier placement has the same ID, and 0 otherwise. Where the instance
+// repeats an ID, the last of its tasks is the one compared, as a lookup
+// table filled in order would hold. The placements and tasks meet through
+// two index sorts by (ID, position) in pooled memory, not through maps.
+func (b *bufs) memberFlags(tasks []Task, items []Placement) []uint8 {
+	to := indices(b.ord, len(tasks))
+	slices.SortFunc(to, func(x, y int) int {
+		if c := cmp.Compare(tasks[x].ID, tasks[y].ID); c != 0 {
+			return c
+		}
+		return cmp.Compare(x, y)
+	})
+	po := indices(b.ord2, len(items))
+	slices.SortFunc(po, func(x, y int) int {
+		if c := cmp.Compare(items[x].Task.ID, items[y].Task.ID); c != 0 {
+			return c
+		}
+		return cmp.Compare(x, y)
+	})
+	flags := append(b.flags[:0], make([]uint8, len(items))...)
+	b.ord, b.ord2, b.flags = to, po, flags
+	j := 0
+	for k, pi := range po {
+		id := items[pi].Task.ID
+		for j < len(to) && tasks[to[j]].ID < id {
+			j++
+		}
+		last := j
+		for last+1 < len(to) && tasks[to[last+1]].ID == id {
+			last++
+		}
+		switch {
+		case j == len(to) || tasks[to[last]] != items[pi].Task:
+			flags[pi] = notInInstance
+		case k > 0 && items[po[k-1]].Task.ID == id:
+			flags[pi] = scheduledTwice
+		}
+	}
+	return flags
 }
 
 // ValidUFPP checks that the given task set is a feasible UFPP solution:

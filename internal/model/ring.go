@@ -68,29 +68,15 @@ func (r *RingInstance) Validate() error {
 			return saperr.Input("edge %d: capacity %d exceeds the magnitude limit %d", e, c, int64(MaxMagnitude))
 		}
 	}
-	seen := make(map[int]bool, len(r.Tasks))
 	for i, t := range r.Tasks {
 		if t.Start < 0 || t.Start >= m || t.End < 0 || t.End >= m || t.Start == t.End {
-			return saperr.Input("task %d (id %d): endpoints (%d,%d) invalid on ring with %d vertices", i, t.ID, t.Start, t.End, m)
+			return duplicateBefore(r.Tasks[:i], saperr.Input("task %d (id %d): endpoints (%d,%d) invalid on ring with %d vertices", i, t.ID, t.Start, t.End, m))
 		}
-		if t.Demand <= 0 {
-			return saperr.Input("task %d (id %d): demand %d is not positive", i, t.ID, t.Demand)
+		if err := amountError(i, Task(t)); err != nil {
+			return duplicateBefore(r.Tasks[:i], err)
 		}
-		if t.Demand > MaxMagnitude {
-			return saperr.Input("task %d (id %d): demand %d exceeds the magnitude limit %d", i, t.ID, t.Demand, int64(MaxMagnitude))
-		}
-		if t.Weight < 0 {
-			return saperr.Input("task %d (id %d): weight %d is negative", i, t.ID, t.Weight)
-		}
-		if t.Weight > MaxMagnitude {
-			return saperr.Input("task %d (id %d): weight %d exceeds the magnitude limit %d", i, t.ID, t.Weight, int64(MaxMagnitude))
-		}
-		if seen[t.ID] {
-			return saperr.Input("task %d: duplicate id %d", i, t.ID)
-		}
-		seen[t.ID] = true
 	}
-	return nil
+	return duplicateBefore(r.Tasks, nil)
 }
 
 // ArcEndpoints returns (from, to) for the task's arc under orientation o:

@@ -22,6 +22,8 @@ import (
 	"container/list"
 	"crypto/sha256"
 	"fmt"
+	"hash"
+	"io"
 	"sync"
 
 	"sapalloc/internal/model"
@@ -35,16 +37,43 @@ func (k Key) String() string { return fmt.Sprintf("%x", k[:8]) }
 
 // KeyOf returns the canonical key of a path instance. Permutations of the
 // same task set map to the same key; any other pair of valid instances
-// maps to different keys (up to SHA-256 collisions).
-func KeyOf(in *model.Instance) Key {
-	return sha256.Sum256(in.CanonicalBytes())
-}
+// maps to different keys (up to SHA-256 collisions). The canonical
+// encoding streams into the hash in fixed-size chunks and is never held
+// whole; an instance whose tasks are not in normal form is sorted in a
+// copy first.
+func KeyOf(in *model.Instance) Key { return keyOf(in) }
 
 // KeyOfRing returns the canonical key of a ring instance. Ring and path
 // keys never collide: the canonical encodings carry distinct kind tags.
-func KeyOfRing(r *model.RingInstance) Key {
-	return sha256.Sum256(r.CanonicalBytes())
+func KeyOfRing(r *model.RingInstance) Key { return keyOf(r) }
+
+// canonical is an instance that streams its canonical encoding.
+type canonical interface {
+	WriteCanonical(w io.Writer, buf []byte) error
 }
+
+func keyOf(c canonical) Key {
+	h := hashers.Get().(*hasher)
+	defer hashers.Put(h)
+	h.Reset()
+	_ = c.WriteCanonical(h, h.buf) // a hash.Hash never returns an error
+	h.Sum(h.out[:0])
+	return h.out
+}
+
+// keyChunk is the size of the chunks the canonical encoding is hashed in.
+const keyChunk = 4 << 10
+
+// hasher is a reusable SHA-256 state with its encoding buffer.
+type hasher struct {
+	hash.Hash
+	buf []byte
+	out Key
+}
+
+var hashers = sync.Pool{New: func() any {
+	return &hasher{Hash: sha256.New(), buf: make([]byte, 0, keyChunk)}
+}}
 
 // entry is one resident cache line.
 type entry struct {

@@ -278,9 +278,10 @@ func Get() *Arena {
 	return a
 }
 
-// Put recycles an Arena. The caller must not use the arena, or any slice
-// grabbed from it, afterwards. When SetPoison is on the memory is
-// poisoned immediately, so use-after-Put shows up at the point of use.
+// Put recycles an Arena; Put(nil) does nothing. The caller must not use
+// the arena, or any slice grabbed from it, afterwards. When SetPoison is on
+// the memory is poisoned immediately, so use-after-Put shows up at the
+// point of use.
 func Put(a *Arena) {
 	if a == nil {
 		return
@@ -308,23 +309,26 @@ func From(ctx context.Context) (*Arena, bool) {
 }
 
 // Attach is Acquire for a caller that also hands the arena down: the
-// returned context carries it, and release is a no-op when ctx already did.
-func Attach(ctx context.Context) (context.Context, *Arena, func()) {
+// returned context carries the arena. As with Acquire, owned is the pooled
+// arena the caller must Put, and nil when ctx already carried one.
+func Attach(ctx context.Context) (_ context.Context, a, owned *Arena) {
 	if a, ok := From(ctx); ok {
-		return ctx, a, func() {}
+		return ctx, a, nil
 	}
-	a := Get()
-	return With(ctx, a), a, func() { Put(a) }
+	a = Get()
+	return With(ctx, a), a, a
 }
 
-// Acquire returns the context's arena when one is attached (release is a
-// no-op — the attacher owns it) and otherwise a pooled arena whose release
-// returns it to the pool. Callers must invoke release exactly once, after
-// their last use of arena-backed memory.
-func Acquire(ctx context.Context) (*Arena, func()) {
+// Acquire returns the context's arena when one is attached, and otherwise
+// a pooled arena. owned is what the caller hands to Put after its last use
+// of arena-backed memory: the pooled arena, or nil when the arena was
+// borrowed from ctx (the attacher owns it, and Put(nil) does nothing).
+// Returning the arena rather than a release closure keeps the call free of
+// allocations.
+func Acquire(ctx context.Context) (a, owned *Arena) {
 	if a, ok := From(ctx); ok {
-		return a, func() {}
+		return a, nil
 	}
-	a := Get()
-	return a, func() { Put(a) }
+	a = Get()
+	return a, a
 }

@@ -124,11 +124,11 @@ func TestContextPlumbing(t *testing.T) {
 	if _, ok := From(ctx); ok {
 		t.Fatal("From(Background) found an arena")
 	}
-	a, release := Acquire(ctx)
-	if a == nil {
-		t.Fatal("Acquire returned nil arena")
+	a, owned := Acquire(ctx)
+	if a == nil || owned != a {
+		t.Fatalf("Acquire = (%p, %p), want a pooled arena it owns", a, owned)
 	}
-	release()
+	Put(owned)
 
 	own := Get()
 	defer Put(own)
@@ -137,13 +137,28 @@ func TestContextPlumbing(t *testing.T) {
 	if !ok || got != own {
 		t.Fatalf("From = %p, want attached %p", got, own)
 	}
-	got2, release2 := Acquire(ctx)
-	if got2 != own {
-		t.Fatalf("Acquire = %p, want attached %p", got2, own)
+	got2, owned2 := Acquire(ctx)
+	if got2 != own || owned2 != nil {
+		t.Fatalf("Acquire = (%p, %p), want attached %p and nothing owned", got2, owned2, own)
 	}
-	release2() // no-op for attached arenas; own stays usable
+	Put(owned2) // no-op for attached arenas; own stays usable
 	if s := own.Int64s(1); len(s) != 1 {
-		t.Fatal("attached arena unusable after no-op release")
+		t.Fatal("attached arena unusable after no-op Put")
+	}
+	actx, a3, owned3 := Attach(ctx)
+	if actx != ctx || a3 != own || owned3 != nil {
+		t.Fatal("Attach under an attached arena must borrow it")
+	}
+	actx, a4, owned4 := Attach(context.Background())
+	if got, _ := From(actx); got != a4 || owned4 != a4 {
+		t.Fatal("Attach without an arena must attach and own a pooled one")
+	}
+	Put(owned4)
+	if n := testing.AllocsPerRun(100, func() {
+		_, owned := Acquire(context.Background())
+		Put(owned)
+	}); n != 0 && !RaceEnabled {
+		t.Errorf("Acquire+Put of a pooled arena: %.1f allocs, want 0", n)
 	}
 }
 

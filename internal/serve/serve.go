@@ -28,6 +28,7 @@ package serve
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -36,8 +37,9 @@ import (
 	"io"
 	"net/http"
 	"runtime"
-	"sort"
+	"slices"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -285,15 +287,17 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 	timeout, err := s.requestTimeout(r)
 	if err != nil {
+		body.release()
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-
-	key, solveFn, tasks, err := s.decode(body, timeout)
+	req, err := decodeSolve(body.b)
+	body.release()
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	key := req.key
 	obs.ServeRequests.Inc()
 
 	// Fast path: canonical-key cache hit (LRU front or durable store)
@@ -321,13 +325,13 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		}
 		defer release()
 		start := time.Now()
-		resp, err := solveFn()
+		resp, err := s.solve(req, timeout)
 		if err != nil {
 			return nil, err
 		}
 		s.observeSolve(time.Since(start))
 		if !resp.degraded {
-			s.cache.Add(key, resp, int64(tasks))
+			s.cache.Add(key, resp, int64(resp.tasks))
 		}
 		return resp, nil
 	})
@@ -360,26 +364,63 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 // grows the buffer as it is read.
 const maxBodyHint = 1 << 20
 
+// requestBody is a request body read into a buffer from bodyPool. The
+// handler that read it calls release once the body is decoded; nothing
+// decoded from the body may refer into the buffer, because the next
+// request reads into it.
+type requestBody struct{ b []byte }
+
+// bodyPool recycles body buffers of at most maxBodyHint+1 bytes, the most
+// readBody sizes a buffer from Content-Length; a buffer grown past that
+// by a larger body is left to the collector.
+var bodyPool = sync.Pool{New: func() any { return new(requestBody) }}
+
+// poisonBodies makes release overwrite every buffer it returns to the
+// pool, so a test catches anything that kept a reference into a body.
+var poisonBodies atomic.Bool
+
+func (rb *requestBody) release() {
+	if cap(rb.b) > maxBodyHint+1 {
+		return
+	}
+	if poisonBodies.Load() {
+		b := rb.b[:cap(rb.b)]
+		for i := range b {
+			b[i] = 0xA5
+		}
+	}
+	rb.b = rb.b[:0]
+	bodyPool.Put(rb)
+}
+
 // readBody reads the request body once, bounded by MaxBodyBytes, into a
-// buffer sized from Content-Length: a body of at most maxBodyHint bytes
-// costs one allocation. On failure readBody writes the 413 or 400 response
-// and returns false.
-func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+// pooled buffer of at least the Content-Length: a body of at most
+// maxBodyHint bytes costs no allocation once the pool holds a buffer its
+// size. On failure readBody writes the 413 or 400 response and returns
+// false.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request) (*requestBody, bool) {
 	size := int64(bytes.MinRead)
 	if r.ContentLength >= 0 {
 		// One byte past the body leaves room for the read that returns
 		// io.EOF.
 		size = min(r.ContentLength, maxBodyHint, s.cfg.MaxBodyBytes) + 1
 	}
-	b := make([]byte, 0, size)
+	rb := bodyPool.Get().(*requestBody)
+	b := rb.b[:0]
+	if int64(cap(b)) < size {
+		b = make([]byte, 0, size)
+	}
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	for {
 		n, err := body.Read(b[len(b):cap(b)])
 		b = b[:len(b)+n]
 		if err == io.EOF {
-			return b, true
+			rb.b = b
+			return rb, true
 		}
 		if err != nil {
+			rb.b = b
+			rb.release()
 			var tooLarge *http.MaxBytesError
 			if errors.As(err, &tooLarge) {
 				httpError(w, http.StatusRequestEntityTooLarge, "body exceeds %d bytes", tooLarge.Limit)
@@ -415,24 +456,38 @@ func (s *Server) requestTimeout(r *http.Request) (time.Duration, error) {
 	return d, nil
 }
 
-// decode parses and validates the request body (the trust boundary:
+// solveRequest is a decoded /v1/solve instance, in sorted normal form, and
+// its cache key. Exactly one of path and ring is set.
+type solveRequest struct {
+	key  sapcache.Key
+	path *model.Instance
+	ring *model.RingInstance
+}
+
+// decodeSolve parses and validates the request body (the trust boundary:
 // model.DecodeJSON rejects anything model.Validate would not accept, and
-// the canonical key is computed only for admissible instances). It returns
-// the cache key, a closure that runs the right solver on the canonical
-// instance, and the instance's task count.
-func (s *Server) decode(body []byte, timeout time.Duration) (sapcache.Key, func() (*cachedResponse, error), int, error) {
+// the canonical key is computed only for admissible instances). The
+// handler owns the decoded instance, so its tasks are sorted into normal
+// form in place, and the key is hashed from that form.
+func decodeSolve(body []byte) (solveRequest, error) {
 	in, ring, err := model.DecodeJSON(body)
 	if err != nil {
-		return sapcache.Key{}, nil, 0, err
+		return solveRequest{}, err
 	}
 	if ring != nil {
-		canon := ring.Canonicalize()
-		fn := func() (*cachedResponse, error) { return s.solveRing(canon, timeout) }
-		return sapcache.KeyOfRing(canon), fn, len(canon.Tasks), nil
+		ring.Normalize()
+		return solveRequest{key: sapcache.KeyOfRing(ring), ring: ring}, nil
 	}
-	canon := in.Canonicalize()
-	fn := func() (*cachedResponse, error) { return s.solvePath(canon, timeout) }
-	return sapcache.KeyOf(canon), fn, len(canon.Tasks), nil
+	in.Normalize()
+	return solveRequest{key: sapcache.KeyOf(in), path: in}, nil
+}
+
+// solve runs the right solver on the request's instance.
+func (s *Server) solve(req solveRequest, timeout time.Duration) (*cachedResponse, error) {
+	if req.ring != nil {
+		return s.solveRing(req.ring, timeout)
+	}
+	return s.solvePath(req.path, timeout)
 }
 
 // admit passes the request through admission control: a non-blocking
@@ -493,10 +548,10 @@ func (s *Server) solvePath(in *model.Instance, timeout time.Duration) (*cachedRe
 	if err != nil {
 		return nil, err
 	}
-	if err := model.ValidSAP(in, res.Solution); err != nil {
-		return nil, fmt.Errorf("%w: solver produced infeasible solution: %v", saperr.ErrInternal, err)
+	if err := checkAllocation(in, res.Solution); err != nil {
+		return nil, err
 	}
-	sol := res.Solution.Clone().SortByID()
+	sol := res.Solution.SortByID() // the solve's own solution: sorted in place
 	doc := solveResponseDoc{
 		Kind:      "path",
 		Weight:    sol.Weight(),
@@ -508,10 +563,17 @@ func (s *Server) solvePath(in *model.Instance, timeout time.Duration) (*cachedRe
 	if res.Shards != nil {
 		doc.Shards = res.Shards.Shards
 	}
-	for _, pl := range sol.Items {
-		doc.Items = append(doc.Items, solveItemDoc{TaskID: pl.Task.ID, Height: pl.Height})
+	return &cachedResponse{body: renderPath(&doc, sol.Items), tasks: len(in.Tasks), degraded: doc.Degraded}, nil
+}
+
+// checkAllocation re-verifies an allocation before it is served. An
+// infeasible one is a solver bug: it becomes a typed internal error (HTTP
+// 500) and is never cached, persisted or sent.
+func checkAllocation(in *model.Instance, sol *model.Solution) error {
+	if err := model.ValidSAP(in, sol); err != nil {
+		return fmt.Errorf("%w: solver produced infeasible solution: %v", saperr.ErrInternal, err)
 	}
-	return renderResponse(doc, len(in.Tasks))
+	return nil
 }
 
 // solveRing is solvePath for ring instances.
@@ -528,8 +590,8 @@ func (s *Server) solveRing(ring *model.RingInstance, timeout time.Duration) (*ca
 	if err := model.ValidRingSAP(ring, res.Solution); err != nil {
 		return nil, fmt.Errorf("%w: solver produced infeasible ring solution: %v", saperr.ErrInternal, err)
 	}
-	items := append([]model.RingPlacement(nil), res.Solution.Items...)
-	sort.Slice(items, func(i, j int) bool { return items[i].Task.ID < items[j].Task.ID })
+	items := res.Solution.Items // the solve's own solution: sorted in place
+	slices.SortFunc(items, func(p, q model.RingPlacement) int { return cmp.Compare(p.Task.ID, q.Task.ID) })
 	doc := solveResponseDoc{
 		Kind:      "ring",
 		Weight:    res.Solution.Weight(),
@@ -538,17 +600,14 @@ func (s *Server) solveRing(ring *model.RingInstance, timeout time.Duration) (*ca
 		Tasks:     len(ring.Tasks),
 		Degraded:  res.Degraded,
 	}
-	for _, pl := range items {
-		doc.Items = append(doc.Items, solveItemDoc{
-			TaskID: pl.Task.ID, Height: pl.Height, Orientation: pl.Orientation.String(),
-		})
-	}
-	return renderResponse(doc, len(ring.Tasks))
+	return &cachedResponse{body: renderRing(&doc, items), tasks: len(ring.Tasks), degraded: doc.Degraded}, nil
 }
 
-// solveResponseDoc is the response wire format. The solution items reuse
-// the (task_id, height) shape of model.Solution.WriteJSON, extended with
-// the orientation for ring placements.
+// solveResponseDoc is the response wire format, as render.go appends it.
+// The solution items reuse the (task_id, height) shape of
+// model.Solution.WriteJSON, extended with the orientation for ring
+// placements. Items is left empty when the body is rendered: the
+// placements are rendered straight from the solution.
 type solveResponseDoc struct {
 	Kind      string `json:"kind"`
 	Weight    int64  `json:"weight"`
@@ -567,21 +626,6 @@ type solveItemDoc struct {
 	TaskID      int    `json:"task_id"`
 	Height      int64  `json:"height"`
 	Orientation string `json:"orientation,omitempty"`
-}
-
-// renderResponse marshals the document once; the bytes are what the cache
-// stores and every response writes, so hits are byte-identical by
-// construction.
-func renderResponse(doc solveResponseDoc, tasks int) (*cachedResponse, error) {
-	if doc.Items == nil {
-		doc.Items = []solveItemDoc{} // render as [], not null
-	}
-	body, err := json.Marshal(doc)
-	if err != nil {
-		return nil, fmt.Errorf("%w: render response: %v", saperr.ErrInternal, err)
-	}
-	body = append(body, '\n')
-	return &cachedResponse{body: body, tasks: tasks, degraded: doc.Degraded}, nil
 }
 
 // provenanceHeader carries the stored solution's position in the durable

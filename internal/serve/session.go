@@ -1,11 +1,11 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
+	"sync"
 	"time"
 
 	"sapalloc/internal/model"
@@ -45,6 +45,8 @@ type sessionTaskDoc struct {
 
 // sessionResponseDoc is the response to create and delta calls: the updated
 // allocation plus the incremental engine's accounting for the applied delta.
+// render.go appends it, with the items rendered straight from the
+// allocation.
 type sessionResponseDoc struct {
 	SessionID string `json:"session_id"`
 	Kind      string `json:"kind"` // always "session"
@@ -78,11 +80,13 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	timeout, err := s.requestTimeout(r)
 	if err != nil {
+		body.release()
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	// The trust boundary: only admissible path instances create sessions.
-	in, err := model.ReadInstanceJSON(bytes.NewReader(body))
+	in, err := model.DecodeInstanceJSON(body.b)
+	body.release()
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -118,11 +122,14 @@ func (s *Server) handleSessionDelta(w http.ResponseWriter, r *http.Request) {
 	}
 	timeout, err := s.requestTimeout(r)
 	if err != nil {
+		body.release()
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	var doc sessionDeltaDoc
-	if err := json.Unmarshal(body, &doc); err != nil {
+	err = json.Unmarshal(body.b, &doc)
+	body.release()
+	if err != nil {
 		httpError(w, http.StatusBadRequest, "decode delta: %v", err)
 		return
 	}
@@ -174,32 +181,35 @@ func (s *Server) applySessionDelta(ctx context.Context, timeout time.Duration, s
 		return nil, err
 	}
 	s.observeSolve(time.Since(start))
+	if err := checkAllocation(res.Instance, res.Solution); err != nil {
+		return nil, err
+	}
 	return res, nil
 }
 
+// writeSessionResponse renders the allocation with its items in ID order.
+// The session keeps its Solution, so the items are sorted in a pooled copy.
 func writeSessionResponse(w http.ResponseWriter, id string, res *session.Result) {
-	sol := res.Solution.Clone().SortByID()
+	pp := placementPool.Get().(*[]model.Placement)
+	sorted := model.Solution{Items: append((*pp)[:0], res.Solution.Items...)}
+	items := sorted.SortByID().Items
 	doc := sessionResponseDoc{
 		SessionID:      id,
 		Kind:           "session",
 		Weight:         res.Weight,
-		Scheduled:      sol.Len(),
+		Scheduled:      len(items),
 		Tasks:          res.Tasks,
 		Shards:         res.Shards,
 		ResolvedShards: res.Resolved,
 		ReusedShards:   res.Reused,
 		Full:           res.Full,
 		DirtyEdges:     res.DirtyEdges,
-		Items:          []solveItemDoc{},
 	}
-	for _, pl := range sol.Items {
-		doc.Items = append(doc.Items, solveItemDoc{TaskID: pl.Task.ID, Height: pl.Height})
-	}
-	body, err := json.Marshal(doc)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "render response: %v", err)
-		return
-	}
-	body = append(body, '\n')
+	body := renderSession(&doc, items)
+	*pp = items
+	placementPool.Put(pp)
 	writeSolveResponse(w, body, "session")
 }
+
+// placementPool recycles the buffers writeSessionResponse sorts in.
+var placementPool = sync.Pool{New: func() any { return new([]model.Placement) }}

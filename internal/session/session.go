@@ -66,6 +66,10 @@ type Result struct {
 	// items are in span-stitch order, exactly as a cold sharded solve
 	// emits them.
 	Solution *model.Solution
+	// Instance is the instance Solution allocates: the session's capacity
+	// profile and its task set after the delta, in ID order. It is shared
+	// with the session's internal state: treat it as read-only.
+	Instance *model.Instance
 	Weight   int64
 	// Tasks is the session's task count after the delta.
 	Tasks int
@@ -153,9 +157,9 @@ func (s *Session) Apply(ctx context.Context, d Delta) (res *Result, err error) {
 
 	plan := shard.Compute(ctx, in)
 	if s.full || !plan.Decomposes() {
-		return s.applyFull(ctx, d, in, next, plan, dirtyEdges, start)
+		return s.applyFull(ctx, d, in, plan, dirtyEdges, start)
 	}
-	return s.applyIncremental(ctx, d, next, plan, merged, dirtyEdges, start)
+	return s.applyIncremental(ctx, d, in, plan, merged, dirtyEdges, start)
 }
 
 // merged validates the delta against the current task set and returns the
@@ -235,7 +239,7 @@ func (s *Session) dirtyIntervals(d Delta) ([]edgeIv, int) {
 // applyFull re-solves the whole path cold — the forced-full mode, or the
 // fall-through when the instance has no zero-load cut (the same fall-through
 // a cold solve takes, so the bytes still match).
-func (s *Session) applyFull(ctx context.Context, d Delta, in *model.Instance, next []model.Task, plan *shard.Plan, dirtyEdges int, start time.Time) (*Result, error) {
+func (s *Session) applyFull(ctx context.Context, d Delta, in *model.Instance, plan *shard.Plan, dirtyEdges int, start time.Time) (*Result, error) {
 	p := s.params
 	if !plan.Decomposes() {
 		// The scan above already proved there is no cut; skip core's own.
@@ -255,7 +259,7 @@ func (s *Session) applyFull(ctx context.Context, d Delta, in *model.Instance, ne
 	if plan.Decomposes() {
 		resolved = plan.Len()
 	}
-	s.commit(d, next, make(map[spanKey]*spanEntry), r.Solution)
+	s.commit(d, in.Tasks, make(map[spanKey]*spanEntry), r.Solution)
 	obs.SessionDeltas.Inc()
 	obs.SessionFullSolves.Inc()
 	obs.SessionDirtyEdges.Record(int64(dirtyEdges))
@@ -263,14 +267,14 @@ func (s *Session) applyFull(ctx context.Context, d Delta, in *model.Instance, ne
 	obs.SessionReusedShards.Record(0)
 	obs.SessionDeltaNs.Record(int64(time.Since(start)))
 	return &Result{
-		Solution: s.sol, Weight: s.weight, Tasks: len(s.tasks),
+		Solution: s.sol, Instance: in, Weight: s.weight, Tasks: len(s.tasks),
 		Shards: plan.Len(), Resolved: resolved, Full: true, DirtyEdges: dirtyEdges,
 	}, nil
 }
 
 // applyIncremental re-solves only the shards whose edge windows intersect
 // the dirty intervals and reuses the rest from the previous delta's cache.
-func (s *Session) applyIncremental(ctx context.Context, d Delta, next []model.Task, plan *shard.Plan, merged []edgeIv, dirtyEdges int, start time.Time) (*Result, error) {
+func (s *Session) applyIncremental(ctx context.Context, d Delta, in *model.Instance, plan *shard.Plan, merged []edgeIv, dirtyEdges int, start time.Time) (*Result, error) {
 	nsp := plan.Len()
 	entries := make([]*spanEntry, nsp)
 	var dirty []int
@@ -334,7 +338,7 @@ func (s *Session) applyIncremental(ctx context.Context, d Delta, next []model.Ta
 	for i := 0; i < nsp; i++ {
 		sol.Items = append(sol.Items, entries[i].sol.Items...)
 	}
-	s.commit(d, next, cache, sol)
+	s.commit(d, in.Tasks, cache, sol)
 	obs.SessionDeltas.Inc()
 	obs.SessionIncrementalSolves.Inc()
 	obs.SessionDirtyEdges.Record(int64(dirtyEdges))
@@ -342,7 +346,7 @@ func (s *Session) applyIncremental(ctx context.Context, d Delta, next []model.Ta
 	obs.SessionReusedShards.Record(int64(nsp - len(dirty)))
 	obs.SessionDeltaNs.Record(int64(time.Since(start)))
 	return &Result{
-		Solution: s.sol, Weight: s.weight, Tasks: len(s.tasks),
+		Solution: s.sol, Instance: in, Weight: s.weight, Tasks: len(s.tasks),
 		Shards: nsp, Resolved: len(dirty), Reused: nsp - len(dirty), DirtyEdges: dirtyEdges,
 	}, nil
 }

@@ -103,8 +103,8 @@ func Compute(ctx context.Context, in *model.Instance) *Plan {
 		p.Scan = time.Since(start)
 		return p
 	}
-	a, release := scratch.Acquire(ctx)
-	defer release()
+	a, owned := scratch.Acquire(ctx)
+	defer scratch.Put(owned)
 
 	// cover[e] = number of tasks whose interval contains edge e, built as
 	// a difference array: +1 at Start, −1 at End, then prefix-summed.
@@ -281,10 +281,11 @@ type Solver func(ctx context.Context, index int, sub *model.Instance) (*model.So
 // Options.Verify) is global feasibility.
 //
 // A shard whose solver errors or panics fails alone; Scatter returns an
-// error only when no shard completed — the first shard error, or a typed
-// cancellation when the context died before any shard ran. On partial
-// cancellation the completed shards form a feasible partial solution and
-// the Report says which shards were lost.
+// error only when the plan has shards and none of them completed — the
+// first shard error, or a typed cancellation when the context died before
+// any shard ran. A plan without shards stitches an empty solution under a
+// zero-shard report. On partial cancellation the completed shards form a
+// feasible partial solution and the Report says which shards were lost.
 func (p *Plan) Scatter(ctx context.Context, workers int, opts Options, solve Solver) (*model.Solution, *Report, error) {
 	start := time.Now()
 	obs.ShardSolves.Inc()
@@ -334,7 +335,7 @@ func (p *Plan) Scatter(ctx context.Context, workers int, opts Options, solve Sol
 			rep.LargestTasks = p.spans[i].Tasks
 		}
 	}
-	if rep.Completed == 0 {
+	if rep.Completed == 0 && len(outs) > 0 {
 		var first error
 		for _, oc := range rep.Outcomes {
 			if oc.State == Failed {

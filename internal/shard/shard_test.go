@@ -287,3 +287,20 @@ func TestScatterCancelledBeforeStart(t *testing.T) {
 		t.Errorf("report %+v, want all shards skipped", rep)
 	}
 }
+
+// TestScatterEmptyPlan pins the plan of an instance without tasks: there is
+// nothing to solve, so Scatter stitches an empty solution and reports zero
+// shards instead of claiming that no shard completed.
+func TestScatterEmptyPlan(t *testing.T) {
+	p := shard.Compute(context.Background(), &model.Instance{Capacity: []int64{4, 4}})
+	if p.Len() != 0 {
+		t.Fatalf("Len = %d, want 0", p.Len())
+	}
+	sol, rep, err := p.Scatter(context.Background(), 1, shard.Options{}, heaviest)
+	if err != nil || sol == nil || sol.Len() != 0 {
+		t.Fatalf("got sol=%v err=%v, want an empty solution", sol, err)
+	}
+	if rep.Shards != 0 || rep.Completed != 0 || rep.Failed != 0 || rep.Skipped != 0 || len(rep.Outcomes) != 0 {
+		t.Errorf("report %+v, want zero shards", rep)
+	}
+}

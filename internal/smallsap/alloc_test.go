@@ -28,7 +28,7 @@ func TestAllocsSolveSmall(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	f() // warm the arena pool
 	got := testing.AllocsPerRun(10, f)
-	const budget = 22
+	const budget = 21
 	t.Logf("smallsap.Solve/40tasks: %.1f allocs/op (budget %d)", got, budget)
 	if got > budget {
 		t.Errorf("smallsap.Solve/40tasks: %.1f allocs/op exceeds budget %d", got, budget)

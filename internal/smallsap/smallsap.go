@@ -108,8 +108,8 @@ func SolveCtx(ctx context.Context, in *model.Instance, p Params) (*Result, error
 	if len(in.Tasks) == 0 {
 		return res, nil
 	}
-	ctx, a, release := scratch.Attach(ctx)
-	defer release()
+	ctx, a, owned := scratch.Attach(ctx)
+	defer scratch.Put(owned)
 	// Class t − tLo holds classTasks[first[t−tLo]:first[t−tLo+1]], in task
 	// order.
 	cls := a.Ints(len(in.Tasks))
@@ -207,8 +207,8 @@ func SolveCtx(ctx context.Context, in *model.Instance, p Params) (*Result, error
 // 2^{t-1}. It appends the lifted strip to dst and returns it; the class
 // sub-instance and every intermediate live in the context's arena.
 func solveClass(ctx context.Context, capacity []int64, tasks []model.Task, t int, p Params, dst []model.Placement) (ClassReport, []model.Placement, error) {
-	a, release := scratch.Acquire(ctx)
-	defer release()
+	a, owned := scratch.Acquire(ctx)
+	defer scratch.Put(owned)
 	b := int64(1) << uint(t)
 	classIn := model.Instance{Capacity: a.Int64s(len(capacity)), Tasks: tasks}
 	for e, c := range capacity {

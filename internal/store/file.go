@@ -2,7 +2,6 @@ package store
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -436,17 +435,16 @@ func (f *File) Get(k Key) ([]byte, bool, error) {
 	return rec.Value, true, nil
 }
 
+// readRecordLocked reads the record at ent into a buffer of its own and
+// verifies it there: the returned Value aliases that buffer, so the caller
+// owns it and the record is read with one allocation.
 func (f *File) readRecordLocked(ent indexEntry) (Record, error) {
 	buf := make([]byte, EncodedSize(int(ent.vlen)))
 	fh := f.files[f.batches[ent.batch].seg]
 	if _, err := fh.ReadAt(buf, ent.off); err != nil {
 		return Record{}, fmt.Errorf("store: read record: %w", err)
 	}
-	rec, err := ReadRecord(bytes.NewReader(buf))
-	if err != nil {
-		return Record{}, err
-	}
-	return rec, nil
+	return decodeRecord(buf)
 }
 
 // Put implements Store: the record joins the pending batch (immediately

@@ -12,7 +12,9 @@ import (
 // exactly, decode of mutated bytes must never return a record whose
 // stored hash verifies against altered content, and the chain head over
 // the original and mutated records must diverge whenever the record
-// content does. Wired into check.sh fuzz and the CI fuzz-smoke job.
+// content does. decodeRecord, the in-place decode of File reads, must agree
+// with ReadRecord on every encoding, mutation and truncation. Wired into
+// check.sh fuzz and the CI fuzz-smoke job.
 func FuzzStoreRecord(f *testing.F) {
 	f.Add([]byte("seed-key-material"), []byte("seed-value"), uint8(0), uint8(0))
 	f.Add([]byte(""), []byte(""), uint8(5), uint8(0xff))
@@ -25,6 +27,7 @@ func FuzzStoreRecord(f *testing.F) {
 		}
 
 		// Round-trip.
+		sameDecode(t, enc)
 		rec, err := ReadRecord(bytes.NewReader(enc))
 		if err != nil {
 			t.Fatalf("decode of fresh encoding failed: %v", err)
@@ -49,6 +52,7 @@ func FuzzStoreRecord(f *testing.F) {
 		pos := int(mutPos) % len(mut)
 		bit := byte(1) << (mutBit % 8)
 		mut[pos] ^= bit
+		sameDecode(t, mut)
 		mrec, err := ReadRecord(bytes.NewReader(mut))
 		if err == nil {
 			// The only way a mutated encoding decodes without error is a
@@ -71,6 +75,7 @@ func FuzzStoreRecord(f *testing.F) {
 			if cut >= len(enc) {
 				continue
 			}
+			sameDecode(t, enc[:cut])
 			if _, err := ReadRecord(bytes.NewReader(enc[:cut])); err == nil {
 				t.Fatalf("truncation to %d bytes decoded cleanly", cut)
 			} else if cut == 0 && err != io.EOF {
@@ -78,4 +83,18 @@ func FuzzStoreRecord(f *testing.F) {
 			}
 		}
 	})
+}
+
+// sameDecode checks that decodeRecord decodes buf as ReadRecord does: the
+// same record, or an error with the same text.
+func sameDecode(t *testing.T, buf []byte) {
+	t.Helper()
+	want, werr := ReadRecord(bytes.NewReader(buf))
+	got, gerr := decodeRecord(buf)
+	if (werr == nil) != (gerr == nil) || werr != nil && werr.Error() != gerr.Error() {
+		t.Fatalf("decodeRecord error %v, ReadRecord error %v", gerr, werr)
+	}
+	if werr == nil && (got.Key != want.Key || got.Hash != want.Hash || !bytes.Equal(got.Value, want.Value)) {
+		t.Fatal("decodeRecord and ReadRecord decode different records")
+	}
 }

@@ -88,28 +88,47 @@ func AppendRecord(dst []byte, k Key, v []byte) []byte {
 // prefix is implausible or the stored hash does not match the bytes. The
 // returned Record owns its Value slice.
 func ReadRecord(r io.Reader) (Record, error) {
-	var rec Record
-	if _, err := io.ReadFull(r, rec.Key[:]); err != nil {
+	var head [sha256.Size + 4]byte
+	if _, err := io.ReadFull(r, head[:]); err != nil {
 		if err == io.EOF {
+			return Record{}, io.EOF
+		}
+		return Record{}, io.ErrUnexpectedEOF
+	}
+	n := binary.BigEndian.Uint32(head[sha256.Size:])
+	if n > MaxValueBytes {
+		return Record{Key: Key(head[:sha256.Size])}, saperr.CorruptStore("record value length %d exceeds %d", n, MaxValueBytes)
+	}
+	buf := make([]byte, EncodedSize(int(n)))
+	copy(buf, head[:])
+	if _, err := io.ReadFull(r, buf[len(head):]); err != nil {
+		return Record{Key: Key(head[:sha256.Size])}, io.ErrUnexpectedEOF
+	}
+	return decodeRecord(buf)
+}
+
+// decodeRecord decodes one record held at the start of buf without
+// copying it: the returned Value aliases buf. Its errors are ReadRecord's
+// for a reader over buf.
+func decodeRecord(buf []byte) (Record, error) {
+	var rec Record
+	if len(buf) < sha256.Size+4 {
+		if len(buf) == 0 {
 			return rec, io.EOF
 		}
 		return rec, io.ErrUnexpectedEOF
 	}
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-		return rec, io.ErrUnexpectedEOF
-	}
-	n := binary.BigEndian.Uint32(lenBuf[:])
+	copy(rec.Key[:], buf)
+	n := binary.BigEndian.Uint32(buf[sha256.Size:])
 	if n > MaxValueBytes {
 		return rec, saperr.CorruptStore("record value length %d exceeds %d", n, MaxValueBytes)
 	}
-	rec.Value = make([]byte, n)
-	if _, err := io.ReadFull(r, rec.Value); err != nil {
+	body := buf[sha256.Size+4:]
+	if uint64(len(body)) < uint64(n)+sha256.Size {
 		return rec, io.ErrUnexpectedEOF
 	}
-	if _, err := io.ReadFull(r, rec.Hash[:]); err != nil {
-		return rec, io.ErrUnexpectedEOF
-	}
+	rec.Value = body[:n:n]
+	copy(rec.Hash[:], body[n:])
 	if err := VerifyRecord(rec); err != nil {
 		return rec, err
 	}

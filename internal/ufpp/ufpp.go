@@ -72,8 +72,8 @@ func HalfPackable(in *model.Instance, b int64, opts RoundOptions) ([]model.Task,
 // returns the LP-density greedy candidate, which is already feasible and
 // half-packable, with no error.
 func HalfPackableCtx(ctx context.Context, in *model.Instance, b int64, opts RoundOptions) ([]model.Task, float64, error) {
-	a, release := scratch.Acquire(ctx)
-	defer release()
+	a, owned := scratch.Acquire(ctx)
+	defer scratch.Put(owned)
 	sel, lpOpt, err := HalfPackableIn(ctx, a, in, b, opts)
 	if err != nil || len(sel) == 0 {
 		return nil, lpOpt, err
