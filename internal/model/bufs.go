@@ -2,13 +2,11 @@ package model
 
 import "sync"
 
-// bufs holds the reusable buffers of the package's hot checks and sorts
-// (sortCanonical, the duplicate-ID scan, ValidSAP), so that serving a
-// request allocates none of their temporaries. The buffers come from a
-// sync.Pool: every garbage collection empties it.
+// bufs holds the reusable buffers of the package's hot checks (the
+// duplicate-ID scan, ValidSAP), so that serving a request allocates none of
+// their temporaries. The buffers come from a sync.Pool, which frees a
+// buffer at the second garbage collection after its last use.
 type bufs struct {
-	keys    []uint64
-	tasks   []Task
 	ids     []int
 	ord     []int
 	ord2    []int
@@ -26,8 +24,6 @@ const maxPooledElems = 1 << 16
 func getBufs() *bufs { return bufPool.Get().(*bufs) }
 
 func putBufs(b *bufs) {
-	b.keys = capped(b.keys)
-	b.tasks = capped(b.tasks)
 	b.ids = capped(b.ids)
 	b.ord = capped(b.ord)
 	b.ord2 = capped(b.ord2)

@@ -44,69 +44,10 @@ func compareCanonical(a, b Task) int {
 // compareCanonicalAs is compareCanonical for either task type.
 func compareCanonicalAs[T Task | RingTask](a, b T) int { return compareCanonical(Task(a), Task(b)) }
 
-// The packed sort key of a task: Start in the top keyStartBits bits, End in
-// the next keyEndBits and the task's index in the low keyIndexBits. Validate
-// bounds End by MaxEdges = 2^24, so every valid path or ring interval
-// fits; sorting the keys orders the tasks by interval.
-const (
-	keyIndexBits = 15
-	keyEndBits   = 25
-	keyStartBits = 24
-	keyIndexMask = 1<<keyIndexBits - 1
-)
-
-// sortCanonical sorts tasks in place into the normal form of
-// compareCanonical. Instances of at most 2^15 tasks with intervals inside
-// the packed ranges, which covers every instance the serving layer takes,
-// sort as packed integer keys with each run of equal intervals then ordered
-// by compareCanonical; any other input sorts by compareCanonical alone.
-// compareCanonical is a total order on distinct tasks, so both ways yield
-// the same sequence.
-func sortCanonical[T Task | RingTask](tasks []T) {
-	n := len(tasks)
-	if n < 2 {
-		return
-	}
-	if n > 1<<keyIndexBits {
-		slices.SortFunc(tasks, compareCanonicalAs[T])
-		return
-	}
-	b := getBufs()
-	defer putBufs(b)
-	keys := b.keys[:0]
-	for i, x := range tasks {
-		t := Task(x)
-		if uint(t.Start) >= 1<<keyStartBits || uint(t.End) >= 1<<keyEndBits {
-			slices.SortFunc(tasks, compareCanonicalAs[T])
-			return
-		}
-		keys = append(keys, uint64(t.Start)<<(keyEndBits+keyIndexBits)|uint64(t.End)<<keyIndexBits|uint64(i))
-	}
-	slices.Sort(keys)
-	orig := b.tasks[:0]
-	for _, x := range tasks {
-		orig = append(orig, Task(x))
-	}
-	for i, k := range keys {
-		tasks[i] = T(orig[k&keyIndexMask])
-	}
-	for lo := 0; lo < n; {
-		hi := lo + 1
-		for hi < n && keys[hi]>>keyIndexBits == keys[lo]>>keyIndexBits {
-			hi++
-		}
-		if hi-lo > 1 {
-			slices.SortFunc(tasks[lo:hi], compareCanonicalAs[T])
-		}
-		lo = hi
-	}
-	b.keys, b.tasks = keys, orig
-}
-
 // Normalize sorts the instance's tasks in place into sorted normal form.
 // A caller that owns the instance, such as a server holding a freshly
 // decoded request, uses it instead of Canonicalize to skip the copy.
-func (in *Instance) Normalize() { sortCanonical(in.Tasks) }
+func (in *Instance) Normalize() { slices.SortFunc(in.Tasks, compareCanonical) }
 
 // Canonicalize returns a copy of the instance with tasks in sorted normal
 // form (capacity slice shared — it is read-only throughout the library).
@@ -158,7 +99,7 @@ func encodeCanonical[T Task | RingTask](e *canonicalEncoder, tag byte, capacity 
 	}
 	if !slices.IsSortedFunc(tasks, compareCanonicalAs[T]) {
 		tasks = slices.Clone(tasks)
-		sortCanonical(tasks)
+		slices.SortFunc(tasks, compareCanonicalAs[T])
 	}
 	e.u64(uint64(len(tasks)))
 	for _, x := range tasks {
@@ -208,7 +149,7 @@ func (in *Instance) CanonicalBytes() []byte {
 
 // Normalize sorts the ring instance's tasks in place into sorted normal
 // form.
-func (r *RingInstance) Normalize() { sortCanonical(r.Tasks) }
+func (r *RingInstance) Normalize() { slices.SortFunc(r.Tasks, compareCanonicalAs[RingTask]) }
 
 // Canonicalize returns a copy of the ring instance with tasks in sorted
 // normal form (capacity slice shared).

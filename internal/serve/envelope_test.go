@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"errors"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -11,7 +10,6 @@ import (
 
 	"sapalloc/internal/gen"
 	"sapalloc/internal/model"
-	"sapalloc/internal/saperr"
 	"sapalloc/internal/scratch"
 )
 
@@ -106,8 +104,8 @@ func TestAllocsCacheHit(t *testing.T) {
 // TestServeBodyPoisoning is the lifetime rule of pooled bodies: nothing
 // decoded from a body may refer into its buffer. The decoded instances and
 // their keys must survive the buffer being overwritten once decoding is
-// done, and so must every response, session deltas included, when the
-// server overwrites each buffer it returns to the pool.
+// done, and so must every response, session deltas included, when test
+// poisoning makes the server overwrite each buffer it returns to the pool.
 func TestServeBodyPoisoning(t *testing.T) {
 	poison := func(b []byte) {
 		for i := range b {
@@ -168,35 +166,12 @@ func TestServeBodyPoisoning(t *testing.T) {
 		return out
 	}
 	clean := run()
-	poisonBodies.Store(true)
-	defer poisonBodies.Store(false)
+	scratch.SetPoison(true)
+	defer scratch.SetPoison(false)
 	poisoned := run()
 	for i := range clean {
 		if !bytes.Equal(clean[i], poisoned[i]) {
 			t.Errorf("response %d differs when bodies are poisoned after decode:\n%s\nvs\n%s", i, clean[i], poisoned[i])
 		}
-	}
-}
-
-// TestCheckAllocationInfeasible feeds the allocation check that guards
-// /v1/solve and every session response an infeasible allocation: it must
-// become the typed internal error, answered with 500.
-func TestCheckAllocationInfeasible(t *testing.T) {
-	in := testInstance(0)
-	overlap := &model.Solution{Items: []model.Placement{
-		{Task: in.Tasks[0], Height: 0}, // edges [0,2), demand 3
-		{Task: in.Tasks[3], Height: 1}, // edge 0, overlaps [0,3) at [1,5)
-	}}
-	err := checkAllocation(in, overlap)
-	if !errors.Is(err, saperr.ErrInternal) {
-		t.Fatalf("checkAllocation = %v, want a typed internal error", err)
-	}
-	rec := httptest.NewRecorder()
-	New(Config{}).writeSolveError(rec, err, false)
-	if rec.Code != http.StatusInternalServerError {
-		t.Errorf("status %d, want 500", rec.Code)
-	}
-	if err := checkAllocation(in, &model.Solution{Items: []model.Placement{{Task: in.Tasks[0]}}}); err != nil {
-		t.Errorf("feasible allocation rejected: %v", err)
 	}
 }

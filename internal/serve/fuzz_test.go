@@ -1,11 +1,8 @@
 package serve
 
 import (
-	"bytes"
 	"cmp"
 	"crypto/sha256"
-	"encoding/json"
-	"math"
 	"slices"
 	"testing"
 
@@ -20,16 +17,13 @@ func compareNormalForm(a, b model.Task) int {
 		cmp.Compare(a.Demand, b.Demand), cmp.Compare(a.Weight, b.Weight), cmp.Compare(a.ID, b.ID))
 }
 
-// FuzzCanonicalKey drives the copy-free request envelope with random path
-// and ring instances whose tasks repeat (Start, End) pairs, reach End near
-// model.MaxEdges or fall outside the packed key ranges, and with random
-// response documents. It checks that
+// FuzzCanonicalKey drives the copy-free request intake with random path
+// and ring instances whose tasks repeat (Start, End) pairs or reach End
+// near model.MaxEdges. It checks that
 //   - Normalize sorts tasks in place into the order slices.SortFunc gives
 //     under the normal-form comparison;
 //   - the streamed keys equal sha256.Sum256 of CanonicalBytes, for the
-//     instance as given and in normal form;
-//   - every appended response equals json.Marshal of the same document
-//     plus a newline, in a buffer sized exactly.
+//     instance as given and in normal form.
 //
 // Wired into check.sh fuzz and the CI fuzz-smoke job.
 func FuzzCanonicalKey(f *testing.F) {
@@ -46,16 +40,13 @@ func FuzzCanonicalKey(f *testing.F) {
 		}
 		for i := 0; i < n; i++ {
 			tk := model.Task{ID: int(rng() % uint64(2*n+1)), Demand: int64(rng() % 8), Weight: int64(rng() % 8)}
-			switch mode % 4 {
+			switch mode % 3 {
 			case 0: // few distinct intervals: long runs of equal (Start, End)
 				tk.Start = int(rng() % 4)
 				tk.End = tk.Start + 1 + int(rng()%3)
 			case 1: // intervals ending at or near MaxEdges
 				tk.End = model.MaxEdges - int(rng()%4)
 				tk.Start = tk.End - 1 - int(rng()%3)
-			case 2: // outside the packed ranges: the fallback sort
-				tk.Start = int(rng()%8) - 4
-				tk.End = tk.Start + 1<<25*int(rng()%2) + 1
 			default:
 				tk.Start = int(rng() % 64)
 				tk.End = tk.Start + 1 + int(rng()%64)
@@ -92,80 +83,7 @@ func FuzzCanonicalKey(f *testing.F) {
 		if got := sapcache.KeyOfRing(ring); got != wantRing {
 			t.Fatal("streamed ring key differs from sha256(CanonicalBytes)")
 		}
-
-		checkRendering(t, rng, in.Tasks)
 	})
-}
-
-// checkRendering renders random response documents over the tasks and
-// compares them with json.Marshal.
-func checkRendering(t *testing.T, rng func() uint64, tasks []model.Task) {
-	names := []string{"path", "ring", "medium", "small", "", "a<b&c>", "quote\"back\\slash", "tab\t", "é"}
-	num := func() int64 {
-		switch rng() % 4 {
-		case 0:
-			return 0
-		case 1:
-			return math.MinInt64 + int64(rng()%2)
-		case 2:
-			return int64(rng())
-		}
-		return int64(rng()%2001) - 1000
-	}
-	var pls []model.Placement
-	var rpls []model.RingPlacement
-	var items, ritems []solveItemDoc
-	for _, tk := range tasks {
-		if rng()%2 == 0 {
-			continue
-		}
-		tk.ID = int(num())
-		h := num()
-		o := model.Orientation(rng() % 2)
-		pls = append(pls, model.Placement{Task: tk, Height: h})
-		rpls = append(rpls, model.RingPlacement{Task: model.RingTask(tk), Orientation: o, Height: h})
-		items = append(items, solveItemDoc{TaskID: tk.ID, Height: h})
-		ritems = append(ritems, solveItemDoc{TaskID: tk.ID, Height: h, Orientation: o.String()})
-	}
-	doc := solveResponseDoc{
-		Kind: names[rng()%uint64(len(names))], Weight: num(), Winner: names[rng()%uint64(len(names))],
-		Scheduled: int(num()), Tasks: int(num()), Degraded: rng()%2 == 0, Shards: int(num()),
-	}
-	sdoc := sessionResponseDoc{
-		SessionID: names[rng()%uint64(len(names))], Kind: "session", Weight: num(), Scheduled: int(num()),
-		Tasks: int(num()), Shards: int(num()), ResolvedShards: int(num()), ReusedShards: int(num()),
-		Full: rng()%2 == 0, DirtyEdges: int(num()),
-	}
-	check := func(kind string, got, want []byte) {
-		t.Helper()
-		if !bytes.Equal(got, want) {
-			t.Fatalf("%s response\n got %s\nwant %s", kind, got, want)
-		}
-		if len(got) != cap(got) {
-			t.Fatalf("%s response of %d bytes sized %d", kind, len(got), cap(got))
-		}
-	}
-	marshal := func(v any) []byte {
-		b, err := json.Marshal(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return append(b, '\n')
-	}
-	docWith := func(d solveResponseDoc, items []solveItemDoc) solveResponseDoc {
-		d.Items = items
-		if d.Items == nil {
-			d.Items = []solveItemDoc{}
-		}
-		return d
-	}
-	check("path", renderPath(&doc, pls), marshal(docWith(doc, items)))
-	check("ring", renderRing(&doc, rpls), marshal(docWith(doc, ritems)))
-	sdoc.Items = items
-	if sdoc.Items == nil {
-		sdoc.Items = []solveItemDoc{}
-	}
-	check("session", renderSession(&sdoc, pls), marshal(sdoc))
 }
 
 // splitMix is a small deterministic generator for fuzz bodies.

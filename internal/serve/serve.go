@@ -52,6 +52,7 @@ import (
 	"sapalloc/internal/ringsap"
 	"sapalloc/internal/sapcache"
 	"sapalloc/internal/saperr"
+	"sapalloc/internal/scratch"
 	"sapalloc/internal/session"
 	"sapalloc/internal/store"
 )
@@ -375,15 +376,13 @@ type requestBody struct{ b []byte }
 // by a larger body is left to the collector.
 var bodyPool = sync.Pool{New: func() any { return new(requestBody) }}
 
-// poisonBodies makes release overwrite every buffer it returns to the
-// pool, so a test catches anything that kept a reference into a body.
-var poisonBodies atomic.Bool
-
 func (rb *requestBody) release() {
 	if cap(rb.b) > maxBodyHint+1 {
 		return
 	}
-	if poisonBodies.Load() {
+	if scratch.Poisoning() {
+		// Under test poisoning, anything that kept a reference into
+		// the body reads garbage.
 		b := rb.b[:cap(rb.b)]
 		for i := range b {
 			b[i] = 0xA5
@@ -548,32 +547,22 @@ func (s *Server) solvePath(in *model.Instance, timeout time.Duration) (*cachedRe
 	if err != nil {
 		return nil, err
 	}
-	if err := checkAllocation(in, res.Solution); err != nil {
-		return nil, err
+	if err := model.ValidSAP(in, res.Solution); err != nil {
+		return nil, fmt.Errorf("%w: solver produced infeasible solution: %v", saperr.ErrInternal, err)
 	}
-	sol := res.Solution.SortByID() // the solve's own solution: sorted in place
 	doc := solveResponseDoc{
 		Kind:      "path",
-		Weight:    sol.Weight(),
+		Weight:    res.Solution.Weight(),
 		Winner:    res.Winner.String(),
-		Scheduled: sol.Len(),
+		Scheduled: res.Solution.Len(),
 		Tasks:     len(in.Tasks),
 		Degraded:  res.Report != nil && res.Report.Degraded,
+		Items:     pathItems(res.Solution.Items),
 	}
 	if res.Shards != nil {
 		doc.Shards = res.Shards.Shards
 	}
-	return &cachedResponse{body: renderPath(&doc, sol.Items), tasks: len(in.Tasks), degraded: doc.Degraded}, nil
-}
-
-// checkAllocation re-verifies an allocation before it is served. An
-// infeasible one is a solver bug: it becomes a typed internal error (HTTP
-// 500) and is never cached, persisted or sent.
-func checkAllocation(in *model.Instance, sol *model.Solution) error {
-	if err := model.ValidSAP(in, sol); err != nil {
-		return fmt.Errorf("%w: solver produced infeasible solution: %v", saperr.ErrInternal, err)
-	}
-	return nil
+	return renderResponse(doc, len(in.Tasks))
 }
 
 // solveRing is solvePath for ring instances.
@@ -590,24 +579,27 @@ func (s *Server) solveRing(ring *model.RingInstance, timeout time.Duration) (*ca
 	if err := model.ValidRingSAP(ring, res.Solution); err != nil {
 		return nil, fmt.Errorf("%w: solver produced infeasible ring solution: %v", saperr.ErrInternal, err)
 	}
-	items := res.Solution.Items // the solve's own solution: sorted in place
-	slices.SortFunc(items, func(p, q model.RingPlacement) int { return cmp.Compare(p.Task.ID, q.Task.ID) })
 	doc := solveResponseDoc{
 		Kind:      "ring",
 		Weight:    res.Solution.Weight(),
 		Winner:    res.Winner.String(),
-		Scheduled: len(items),
+		Scheduled: len(res.Solution.Items),
 		Tasks:     len(ring.Tasks),
 		Degraded:  res.Degraded,
+		Items:     make([]solveItemDoc, 0, len(res.Solution.Items)),
 	}
-	return &cachedResponse{body: renderRing(&doc, items), tasks: len(ring.Tasks), degraded: doc.Degraded}, nil
+	for _, pl := range res.Solution.Items {
+		doc.Items = append(doc.Items, solveItemDoc{
+			TaskID: pl.Task.ID, Height: pl.Height, Orientation: pl.Orientation.String(),
+		})
+	}
+	slices.SortFunc(doc.Items, byTaskID)
+	return renderResponse(doc, len(ring.Tasks))
 }
 
-// solveResponseDoc is the response wire format, as render.go appends it.
-// The solution items reuse the (task_id, height) shape of
-// model.Solution.WriteJSON, extended with the orientation for ring
-// placements. Items is left empty when the body is rendered: the
-// placements are rendered straight from the solution.
+// solveResponseDoc is the response wire format. The solution items reuse
+// the (task_id, height) shape of model.Solution.WriteJSON, extended with
+// the orientation for ring placements.
 type solveResponseDoc struct {
 	Kind      string `json:"kind"`
 	Weight    int64  `json:"weight"`
@@ -626,6 +618,37 @@ type solveItemDoc struct {
 	TaskID      int    `json:"task_id"`
 	Height      int64  `json:"height"`
 	Orientation string `json:"orientation,omitempty"`
+}
+
+// byTaskID orders response items by task ID, the order every response
+// lists them in. A valid solution places each task once, so the order is
+// total.
+func byTaskID(a, b solveItemDoc) int { return cmp.Compare(a.TaskID, b.TaskID) }
+
+// pathItems returns the placements as response items in task-ID order,
+// leaving the solution itself as it is.
+func pathItems(pls []model.Placement) []solveItemDoc {
+	items := make([]solveItemDoc, 0, len(pls))
+	for _, pl := range pls {
+		items = append(items, solveItemDoc{TaskID: pl.Task.ID, Height: pl.Height})
+	}
+	slices.SortFunc(items, byTaskID)
+	return items
+}
+
+// renderResponse marshals the document once; the bytes are what the cache
+// stores and every response writes, so hits are byte-identical by
+// construction.
+func renderResponse(doc solveResponseDoc, tasks int) (*cachedResponse, error) {
+	if doc.Items == nil {
+		doc.Items = []solveItemDoc{} // render as [], not null
+	}
+	body, err := json.Marshal(doc)
+	if err != nil {
+		return nil, fmt.Errorf("%w: render response: %v", saperr.ErrInternal, err)
+	}
+	body = append(body, '\n')
+	return &cachedResponse{body: body, tasks: tasks, degraded: doc.Degraded}, nil
 }
 
 // provenanceHeader carries the stored solution's position in the durable

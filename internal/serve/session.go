@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
-	"sync"
 	"time"
 
 	"sapalloc/internal/model"
@@ -45,8 +44,6 @@ type sessionTaskDoc struct {
 
 // sessionResponseDoc is the response to create and delta calls: the updated
 // allocation plus the incremental engine's accounting for the applied delta.
-// render.go appends it, with the items rendered straight from the
-// allocation.
 type sessionResponseDoc struct {
 	SessionID string `json:"session_id"`
 	Kind      string `json:"kind"` // always "session"
@@ -181,35 +178,28 @@ func (s *Server) applySessionDelta(ctx context.Context, timeout time.Duration, s
 		return nil, err
 	}
 	s.observeSolve(time.Since(start))
-	if err := checkAllocation(res.Instance, res.Solution); err != nil {
-		return nil, err
-	}
 	return res, nil
 }
 
-// writeSessionResponse renders the allocation with its items in ID order.
-// The session keeps its Solution, so the items are sorted in a pooled copy.
 func writeSessionResponse(w http.ResponseWriter, id string, res *session.Result) {
-	pp := placementPool.Get().(*[]model.Placement)
-	sorted := model.Solution{Items: append((*pp)[:0], res.Solution.Items...)}
-	items := sorted.SortByID().Items
 	doc := sessionResponseDoc{
 		SessionID:      id,
 		Kind:           "session",
 		Weight:         res.Weight,
-		Scheduled:      len(items),
+		Scheduled:      res.Solution.Len(),
 		Tasks:          res.Tasks,
 		Shards:         res.Shards,
 		ResolvedShards: res.Resolved,
 		ReusedShards:   res.Reused,
 		Full:           res.Full,
 		DirtyEdges:     res.DirtyEdges,
+		Items:          pathItems(res.Solution.Items),
 	}
-	body := renderSession(&doc, items)
-	*pp = items
-	placementPool.Put(pp)
+	body, err := json.Marshal(doc)
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, "render response: %v", err)
+		return
+	}
+	body = append(body, '\n')
 	writeSolveResponse(w, body, "session")
 }
-
-// placementPool recycles the buffers writeSessionResponse sorts in.
-var placementPool = sync.Pool{New: func() any { return new([]model.Placement) }}

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"sapalloc/internal/faultinject"
 	"sapalloc/internal/gen"
 	"sapalloc/internal/model"
 )
@@ -301,4 +302,24 @@ func postRaw(ts *httptest.Server, id string, raw []byte) (int, []byte) {
 	defer resp.Body.Close()
 	body, _ := io.ReadAll(resp.Body)
 	return resp.StatusCode, body
+}
+
+// TestServeSessionInternalError answers a delta that Session.Apply fails
+// with a typed internal error, as it fails an infeasible allocation, with
+// 500. The session is left as it was, so the same delta then succeeds.
+func TestServeSessionInternalError(t *testing.T) {
+	ts := newTestServer(t, Config{})
+	id, _ := createSession(t, ts, archipelagoInstance(13))
+	d := sessionDeltaDoc{Remove: []int{0}}
+	deactivate := faultinject.Activate(faultinject.NewPlan(faultinject.Injection{
+		Site: "session/shard", Kind: faultinject.KindPanic, Once: true,
+	}))
+	resp, body := postDelta(t, ts, id, d)
+	deactivate()
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("delta whose shard solve panics: status %d, body %s", resp.StatusCode, body)
+	}
+	if resp, body := postDelta(t, ts, id, d); resp.StatusCode != http.StatusOK {
+		t.Fatalf("retried delta: status %d, body %s", resp.StatusCode, body)
+	}
 }

@@ -19,8 +19,8 @@
 // Invariant (pinned by the difftest churn matrix): after every successful
 // delta the maintained allocation is byte-identical to a fresh
 // core.SolveCtx of the current task set. Deltas are atomic — a delta that
-// fails validation, is cancelled, or panics leaves the session exactly as it
-// was.
+// fails validation, is cancelled, panics, or yields an allocation that
+// fails model.ValidSAP leaves the session exactly as it was.
 package session
 
 import (
@@ -66,10 +66,6 @@ type Result struct {
 	// items are in span-stitch order, exactly as a cold sharded solve
 	// emits them.
 	Solution *model.Solution
-	// Instance is the instance Solution allocates: the session's capacity
-	// profile and its task set after the delta, in ID order. It is shared
-	// with the session's internal state: treat it as read-only.
-	Instance *model.Instance
 	Weight   int64
 	// Tasks is the session's task count after the delta.
 	Tasks int
@@ -127,8 +123,10 @@ func New(capacity []int64, opts Options) (*Session, error) {
 }
 
 // Apply validates and applies one delta, returning the updated allocation.
-// Nothing is committed until the solve succeeds: on any error the session is
-// unchanged and the delta can be retried.
+// Nothing is committed until the solve succeeds and its allocation passes
+// model.ValidSAP: on any error the session is unchanged and the delta can
+// be retried. An infeasible allocation is a solver bug and fails the delta
+// with an error wrapping saperr.ErrInternal.
 func (s *Session) Apply(ctx context.Context, d Delta) (res *Result, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -259,7 +257,9 @@ func (s *Session) applyFull(ctx context.Context, d Delta, in *model.Instance, pl
 	if plan.Decomposes() {
 		resolved = plan.Len()
 	}
-	s.commit(d, in.Tasks, make(map[spanKey]*spanEntry), r.Solution)
+	if err := s.commit(d, in, make(map[spanKey]*spanEntry), r.Solution); err != nil {
+		return nil, err
+	}
 	obs.SessionDeltas.Inc()
 	obs.SessionFullSolves.Inc()
 	obs.SessionDirtyEdges.Record(int64(dirtyEdges))
@@ -267,7 +267,7 @@ func (s *Session) applyFull(ctx context.Context, d Delta, in *model.Instance, pl
 	obs.SessionReusedShards.Record(0)
 	obs.SessionDeltaNs.Record(int64(time.Since(start)))
 	return &Result{
-		Solution: s.sol, Instance: in, Weight: s.weight, Tasks: len(s.tasks),
+		Solution: s.sol, Weight: s.weight, Tasks: len(s.tasks),
 		Shards: plan.Len(), Resolved: resolved, Full: true, DirtyEdges: dirtyEdges,
 	}, nil
 }
@@ -338,7 +338,9 @@ func (s *Session) applyIncremental(ctx context.Context, d Delta, in *model.Insta
 	for i := 0; i < nsp; i++ {
 		sol.Items = append(sol.Items, entries[i].sol.Items...)
 	}
-	s.commit(d, in.Tasks, cache, sol)
+	if err := s.commit(d, in, cache, sol); err != nil {
+		return nil, err
+	}
 	obs.SessionDeltas.Inc()
 	obs.SessionIncrementalSolves.Inc()
 	obs.SessionDirtyEdges.Record(int64(dirtyEdges))
@@ -346,22 +348,29 @@ func (s *Session) applyIncremental(ctx context.Context, d Delta, in *model.Insta
 	obs.SessionReusedShards.Record(int64(nsp - len(dirty)))
 	obs.SessionDeltaNs.Record(int64(time.Since(start)))
 	return &Result{
-		Solution: s.sol, Instance: in, Weight: s.weight, Tasks: len(s.tasks),
+		Solution: s.sol, Weight: s.weight, Tasks: len(s.tasks),
 		Shards: nsp, Resolved: len(dirty), Reused: nsp - len(dirty), DirtyEdges: dirtyEdges,
 	}, nil
 }
 
-func (s *Session) commit(d Delta, next []model.Task, cache map[spanKey]*spanEntry, sol *model.Solution) {
+// commit makes sol, the allocation of in, the session's state once it
+// passes the feasibility check, and leaves the session as it was when it
+// does not.
+func (s *Session) commit(d Delta, in *model.Instance, cache map[spanKey]*spanEntry, sol *model.Solution) error {
+	if err := model.ValidSAP(in, sol); err != nil {
+		return fmt.Errorf("%w: solver produced infeasible solution: %v", saperr.ErrInternal, err)
+	}
 	for _, id := range d.Remove {
 		delete(s.byID, id)
 	}
 	for _, t := range d.Add {
 		s.byID[t.ID] = t
 	}
-	s.tasks = next
+	s.tasks = in.Tasks
 	s.cache = cache
 	s.sol = sol
 	s.weight = sol.Weight()
+	return nil
 }
 
 // Solution returns the maintained allocation. It is shared with the

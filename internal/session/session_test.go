@@ -225,6 +225,59 @@ func TestSessionAtomicOnFault(t *testing.T) {
 	}
 }
 
+// TestSessionAtomicOnInfeasible corrupts a cached shard solution so that
+// the next delta stitches an infeasible allocation. The delta must fail
+// with the typed internal error and leave the session as it was, so the
+// same delta succeeds once the cached solution is repaired.
+func TestSessionAtomicOnInfeasible(t *testing.T) {
+	pool := archipelago(76)
+	sess, err := New(pool.Capacity, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if _, err := sess.Apply(ctx, Delta{Add: pool.Tasks}); err != nil {
+		t.Fatal(err)
+	}
+	removed := pool.Tasks[0]
+	var key spanKey
+	var good *spanEntry
+	for k, e := range sess.cache {
+		if e.sol.Len() > 0 && (k.hi <= removed.Start || removed.End <= k.lo) {
+			key, good = k, e
+			break
+		}
+	}
+	if good == nil {
+		t.Fatal("no cached shard solution outside the delta's island")
+	}
+	bad := &spanEntry{tasks: good.tasks, sol: good.sol.Clone()}
+	bad.sol.Items[0].Height = pool.Capacity[bad.sol.Items[0].Task.Start] // tops out above the edge's capacity
+	sess.cache[key] = bad
+
+	before, beforeTasks, beforeWeight := sess.Solution(), sess.Tasks(), sess.Weight()
+	d := Delta{Remove: []int{removed.ID}}
+	_, err = sess.Apply(ctx, d)
+	if !errors.Is(err, saperr.ErrInternal) {
+		t.Fatalf("infeasible allocation: want ErrInternal, got %v", err)
+	}
+	if sess.Solution() != before || sess.Weight() != beforeWeight || !reflect.DeepEqual(sess.Tasks(), beforeTasks) {
+		t.Fatal("failed delta changed the allocation or the task set")
+	}
+	if _, ok := sess.byID[removed.ID]; !ok || sess.cache[key] != bad {
+		t.Fatal("failed delta changed the task index or the shard cache")
+	}
+
+	sess.cache[key] = good
+	res, err := sess.Apply(ctx, d)
+	if err != nil {
+		t.Fatalf("retry with the cache repaired: %v", err)
+	}
+	if !sameItems(res.Solution, coldSolve(t, pool.Capacity, sess.Tasks())) {
+		t.Fatal("retry allocation differs from cold solve")
+	}
+}
+
 func TestSessionFullOption(t *testing.T) {
 	pool := archipelago(75)
 	sess, err := New(pool.Capacity, Options{Full: true})
