@@ -7,13 +7,13 @@ package sapalloc_test
 //
 // The Benchmark​E* targets regenerate the corresponding experiment's
 // workload; absolute numbers are machine-local, but relative costs show
-// where each pipeline spends its time.
+// where each pipeline spends its time. BenchmarkPinned runs the pinned
+// cases that BENCH.json records, E4, E9, E11, E12, E18 and E22 among them.
 
 import (
-	"context"
 	"testing"
 
-	"sapalloc/internal/chendp"
+	"sapalloc/internal/benchjson"
 	"sapalloc/internal/core"
 	"sapalloc/internal/dsa"
 	"sapalloc/internal/exact"
@@ -23,15 +23,20 @@ import (
 	"sapalloc/internal/lp"
 	"sapalloc/internal/mediumsap"
 	"sapalloc/internal/model"
-	"sapalloc/internal/oracle"
-	"sapalloc/internal/ringsap"
-	"sapalloc/internal/session"
 	"sapalloc/internal/smallsap"
 	"sapalloc/internal/stretch"
 	"sapalloc/internal/ufpp"
-	"sapalloc/internal/ufppfull"
 	"sapalloc/internal/window"
 )
+
+// BenchmarkPinned runs internal/benchjson's pinned cases, one sub-benchmark
+// each, under the names and on the instances that `sapbench -json` records
+// in BENCH.json.
+func BenchmarkPinned(b *testing.B) {
+	for _, c := range benchjson.Cases() {
+		b.Run(c.Name, c.Fn)
+	}
+}
 
 func BenchmarkE1Fig1Gap(b *testing.B) {
 	in := gen.Fig1b()
@@ -61,21 +66,6 @@ func BenchmarkE3Clip(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = in.ClipCapacities(128)
-	}
-}
-
-func BenchmarkE4StripPack(b *testing.B) {
-	in := gen.Random(gen.Config{Seed: 3, Edges: 12, Tasks: 120, CapLo: 256, CapHi: 1025, Class: gen.Small})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := smallsap.Solve(in, smallsap.Params{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := oracle.CheckSAP(in, res.Solution); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 
@@ -127,19 +117,6 @@ func BenchmarkE8Gravity(b *testing.B) {
 	}
 }
 
-func BenchmarkE9Large(b *testing.B) {
-	in := gen.Random(gen.Config{Seed: 7, Edges: 10, Tasks: 40, CapLo: 64, CapHi: 257, Class: gen.Large})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sol, err := largesap.Solve(in, largesap.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		_ = sol
-	}
-}
-
 func BenchmarkE10Degeneracy(b *testing.B) {
 	in := gen.Random(gen.Config{Seed: 8, Edges: 10, Tasks: 200, CapLo: 64, CapHi: 257, Class: gen.Large})
 	rects := largesap.RectanglesOf(in)
@@ -150,78 +127,12 @@ func BenchmarkE10Degeneracy(b *testing.B) {
 	}
 }
 
-func BenchmarkE11Combined(b *testing.B) {
-	in := gen.Random(gen.Config{Seed: 9, Edges: 10, Tasks: 60, CapLo: 128, CapHi: 513, Class: gen.Mixed})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := core.Solve(in, core.Params{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		_ = res
-	}
-}
-
-// BenchmarkE11CombinedWorkers measures the whole-pipeline speedup of the
-// parallel arm fan-out (core.Params.Workers). The Result is identical for
-// both worker counts; only wall clock differs. The machine-readable twin
-// lives in the internal/benchjson pinned subset (BENCH.json).
-func BenchmarkE11CombinedWorkers(b *testing.B) {
-	in := gen.Random(gen.Config{Seed: 9, Edges: 10, Tasks: 60, CapLo: 128, CapHi: 513, Class: gen.Mixed})
-	for _, workers := range []int{1, 4} {
-		b.Run(map[int]string{1: "workers1", 4: "workers4"}[workers], func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := core.Solve(in, core.Params{Workers: workers}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkE30Shard measures the shard scatter's speedup: an archipelago
-// decomposes at its zero-load gaps into twelve independent sub-instances,
-// so the workers fan out over whole combined solves — the coarsest
-// parallelism in the pipeline. Same instance and byte-identical Result at
-// both worker counts (the shard determinism contract); only wall clock
-// differs. The machine-readable twin lives in the internal/benchjson
-// pinned subset, and CI gates workers=4 at ≥2x via sapbench -minspeedup.
-func BenchmarkE30Shard(b *testing.B) {
-	in := gen.Archipelago(gen.ArchipelagoConfig{
-		Seed: 31, Islands: 12, IslandEdges: 8, GapEdges: 2,
-		TasksPerIsland: 18, CapLo: 64, CapHi: 257, Class: gen.Mixed,
-	})
-	for _, workers := range []int{1, 4} {
-		b.Run(map[int]string{1: "workers1", 4: "workers4"}[workers], func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := core.Solve(in, core.Params{Workers: workers}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 func BenchmarkE11CombinedMemTrace(b *testing.B) {
 	in := gen.MemTrace(gen.MemTraceConfig{Seed: 10, Slots: 48, Objects: 100})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.Solve(in, core.Params{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkE12Ring(b *testing.B) {
-	ring := gen.Ring(11, 8, 30, 64, 257)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ringsap.Solve(ring, ringsap.Params{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -344,40 +255,12 @@ func BenchmarkE17PackingOrders(b *testing.B) {
 	}
 }
 
-func BenchmarkE18ChenDP(b *testing.B) {
-	in := gen.Uniform(21, 10, 30, 4, gen.Mixed)
-	for j := range in.Tasks {
-		if in.Tasks[j].Demand > 4 {
-			in.Tasks[j].Demand = 1 + in.Tasks[j].Demand%4
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := chendp.Solve(in, chendp.Options{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkE19MinStretch(b *testing.B) {
 	in := gen.Random(gen.Config{Seed: 22, Edges: 10, Tasks: 80, CapLo: 64, CapHi: 257, Class: gen.Small})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := stretch.MinStretch(in); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkE21MWULarge(b *testing.B) {
-	in := gen.Random(gen.Config{Seed: 23, Edges: 32, Tasks: 1000, CapLo: 256, CapHi: 1025, Class: gen.Small})
-	p := lp.UFPPRelaxation(in)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := lp.ApproxPacking(p, lp.ApproxOptions{Eps: 0.2, MaxIters: 5000}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -390,55 +273,6 @@ func BenchmarkParallelMediumWorkers(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := mediumsap.Solve(in, mediumsap.Params{Eps: 0.5, Workers: workers}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkE22UFPPFull(b *testing.B) {
-	in := gen.Random(gen.Config{Seed: 25, Edges: 10, Tasks: 60, CapLo: 128, CapHi: 513, Class: gen.Mixed})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := ufppfull.Solve(in, ufppfull.Params{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := model.ValidUFPP(in, res.Tasks); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkE35SessionChurn measures one churn delta (remove a task, re-add
-// it) through the incremental session engine vs the same engine forced to
-// cold re-solves. The archipelago has 12 islands, so the incremental path
-// re-solves 1 shard per delta where the full baseline re-solves all 12;
-// benchjson pins the twin workload and gates the ratio at ≥5x.
-func BenchmarkE35SessionChurn(b *testing.B) {
-	pool := gen.Archipelago(gen.ArchipelagoConfig{
-		Seed: 35, Islands: 12, IslandEdges: 8, GapEdges: 2,
-		TasksPerIsland: 18, CapLo: 64, CapHi: 257, Class: gen.Mixed,
-	})
-	for _, mode := range []struct {
-		name string
-		full bool
-	}{{"incremental", false}, {"full", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			sess, err := session.New(pool.Capacity, session.Options{Params: core.Params{Workers: 1}, Full: mode.full})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := sess.Apply(context.Background(), session.Delta{Add: pool.Tasks}); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				t := pool.Tasks[i%len(pool.Tasks)]
-				if _, err := sess.Apply(context.Background(), session.Delta{Remove: []int{t.ID}, Add: []model.Task{t}}); err != nil {
 					b.Fatal(err)
 				}
 			}

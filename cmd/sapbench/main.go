@@ -1,6 +1,7 @@
-// Command sapbench runs the full experiment suite (E1–E14, one per paper
-// figure/theorem) and writes the resulting tables as markdown — the
-// regeneration path for EXPERIMENTS.md.
+// Command sapbench runs the experiment suite (E1–E20 and E22–E24, one per
+// paper figure, theorem or design question; -only picks a subset) and
+// writes the resulting tables as markdown — the regeneration path for
+// EXPERIMENTS.md.
 //
 // With -json it instead runs the pinned quick benchmark subset and emits a
 // machine-readable BENCH.json report; combined with -baseline it becomes
@@ -60,28 +61,20 @@ func main() {
 	}
 	defer stopObs()
 
+	var ids []string
+	if *only != "" {
+		for _, id := range strings.Split(*only, ",") {
+			ids = append(ids, strings.TrimSpace(id))
+		}
+	}
 	suite := experiments.Suite{Quick: *quick, Seed: *seed}
 	start := time.Now()
-	tables, err := suite.RunAll()
+	tables, err := suite.RunAll(ids...)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "sapbench: %v\n", err)
 		os.Exit(1)
 	}
 	elapsed := time.Since(start)
-
-	if *only != "" {
-		want := map[string]bool{}
-		for _, id := range strings.Split(*only, ",") {
-			want[strings.TrimSpace(id)] = true
-		}
-		var kept []experiments.Table
-		for _, t := range tables {
-			if want[t.ID] {
-				kept = append(kept, t)
-			}
-		}
-		tables = kept
-	}
 
 	w := os.Stdout
 	if *out != "-" {
@@ -112,9 +105,9 @@ func runJSON(out, baseline string, maxRegress, maxAllocRegress float64, minSpeed
 		return 1
 	}
 	start := time.Now()
-	rep, err := benchjson.Run(func(line string) { fmt.Fprintln(os.Stderr, line) })
+	rep, err := benchjson.Run(benchjson.Cases(), func(line string) { fmt.Fprintln(os.Stderr, line) })
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "sapbench: benchmark workload failed: %v\n", err)
+		fmt.Fprintf(os.Stderr, "sapbench: %v\n", err)
 		return 1
 	}
 	fmt.Fprintf(os.Stderr, "sapbench: pinned subset done in %s (gomaxprocs=%d)\n",

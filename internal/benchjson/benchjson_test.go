@@ -2,6 +2,8 @@ package benchjson
 
 import (
 	"bytes"
+	"flag"
+	"strings"
 	"testing"
 )
 
@@ -159,5 +161,58 @@ func TestCompareAllocsIgnoresCalibrationAndMissing(t *testing.T) {
 	fresh.Entries = append(fresh.Entries, Entry{Name: CalibrationName, AllocsPerOp: 1000})
 	if regs := CompareAllocs(base, fresh, 0.10); len(regs) != 0 {
 		t.Fatalf("calibration/disjoint entries should not regress: %v", regs)
+	}
+}
+
+// TestRunReportsFailedCase: a case that fails leaves no entry (its ns/op
+// would be NaN, which encoding/json refuses) and is named in Run's error,
+// while the other cases and the speedups from them are still reported.
+func TestRunReportsFailedCase(t *testing.T) {
+	// testing.Benchmark reads -test.benchtime: one iteration per case
+	// keeps the test fast.
+	bt := flag.Lookup("test.benchtime")
+	old := bt.Value.String()
+	if err := bt.Value.Set("1x"); err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = bt.Value.Set(old) }() // old is the flag's own value, so it parses
+	work := func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			sink += spin()
+		}
+	}
+	rep, err := Run([]Case{
+		{"E30Shard/workers=1", work},
+		{"broken", func(b *testing.B) { b.Fatal("no instance") }},
+		{"E30Shard/workers=4", work},
+	}, nil)
+	if err == nil || !strings.Contains(err.Error(), "broken") {
+		t.Fatalf("err = %v, want one naming the broken case", err)
+	}
+	if len(rep.Entries) != 2 || rep.Entries[0].Name != "E30Shard/workers=1" || rep.Entries[1].Name != "E30Shard/workers=4" {
+		t.Errorf("entries = %+v, want the two passing cases", rep.Entries)
+	}
+	if _, ok := rep.Speedups["E30Shard/workers=4"]; !ok || len(rep.Speedups) != 1 {
+		t.Errorf("speedups = %v, want E30Shard/workers=4 only", rep.Speedups)
+	}
+	if err := Write(&bytes.Buffer{}, rep); err != nil {
+		t.Errorf("report does not encode: %v", err)
+	}
+}
+
+// TestCasesNamesUnique: the regression gate keys entries by name, so each
+// pinned name must be defined once, and every speedup must name two cases.
+func TestCasesNamesUnique(t *testing.T) {
+	seen := map[string]bool{}
+	for _, c := range Cases() {
+		if seen[c.Name] || c.Fn == nil {
+			t.Errorf("case %q duplicated or without a benchmark", c.Name)
+		}
+		seen[c.Name] = true
+	}
+	for _, sp := range speedups {
+		if !seen[sp.slow] || !seen[sp.fast] {
+			t.Errorf("speedup %s divides cases %q and %q; not both are pinned", sp.name, sp.slow, sp.fast)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package benchjson
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 
 	"sapalloc/internal/chendp"
@@ -10,21 +11,28 @@ import (
 	"sapalloc/internal/gen"
 	"sapalloc/internal/largesap"
 	"sapalloc/internal/model"
-	"sapalloc/internal/par"
+	"sapalloc/internal/oracle"
 	"sapalloc/internal/ringsap"
 	"sapalloc/internal/session"
 	"sapalloc/internal/smallsap"
 	"sapalloc/internal/ufppfull"
 )
 
-// The pinned quick subset. Workloads are fixed-seed so every run measures
-// the same instances; names are stable identifiers the regression gate keys
-// on (renaming one silently drops it from the comparison).
-//
-// The subset deliberately mirrors the heavyweight experiment benchmarks of
-// bench_test.go (E4, E9, E11, E12) and adds the two micro-benchmarks the
-// perf work targets: bottleneck queries (linear scan vs RMQ index) and
-// par.ForEach dispatch overhead.
+// Case is one pinned benchmark: the name the regression gate keys on
+// (renaming a case silently drops it from the comparison) and the
+// benchmark itself.
+type Case struct {
+	Name string
+	Fn   func(b *testing.B)
+}
+
+// speedups lists the ratios a report carries: each is reported under name
+// as the ns/op of slow over that of fast.
+var speedups = []struct{ name, slow, fast string }{
+	{"E11Combined/workers=4", "E11Combined/workers=1", "E11Combined/workers=4"},
+	{"E30Shard/workers=4", "E30Shard/workers=1", "E30Shard/workers=4"},
+	{"E35SessionChurn/incremental", "E35SessionChurn/full", "E35SessionChurn/incremental"},
+}
 
 // sink defeats dead-code elimination in the calibration spin.
 var sink uint64
@@ -41,221 +49,197 @@ func spin() uint64 {
 	return x
 }
 
-// Run executes the pinned quick subset in-process and returns the report.
-// verbose, if non-nil, receives a progress line per benchmark.
-func Run(verbose func(string)) (*Report, error) {
-	rep := NewReport()
-	run := func(name string, fn func(b *testing.B)) Entry {
-		res := testing.Benchmark(fn)
-		e := Entry{
-			Name:        name,
-			NsPerOp:     float64(res.T.Nanoseconds()) / float64(res.N),
-			AllocsPerOp: res.AllocsPerOp(),
-			BytesPerOp:  res.AllocedBytesPerOp(),
-		}
-		rep.Entries = append(rep.Entries, e)
-		if verbose != nil {
-			verbose(fmt.Sprintf("%-28s %12.0f ns/op %8d allocs/op %10d B/op", name, e.NsPerOp, e.AllocsPerOp, e.BytesPerOp))
-		}
-		return e
-	}
-
-	run(CalibrationName, func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			sink += spin()
-		}
-	})
-
-	var fail error
-	check := func(err error) {
-		if err != nil && fail == nil {
-			fail = err
-		}
-	}
-
+// Cases returns the pinned quick subset, in report order: the calibration
+// spin, then the heavyweight experiment workloads (E4, E9, E11, E12, E18,
+// E22, E30, E35) and the bottleneck-query micro-benchmark the perf work
+// targets. Workloads are fixed-seed, so every run measures the same
+// instances; the root package's BenchmarkPinned runs this same list, so a
+// name means one instance whichever tool measures it.
+func Cases() []Case {
 	e4 := gen.Random(gen.Config{Seed: 3, Edges: 12, Tasks: 120, CapLo: 256, CapHi: 1025, Class: gen.Small})
-	run("E4StripPack", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_, err := smallsap.Solve(e4, smallsap.Params{})
-			check(err)
-		}
-	})
-
 	e9 := gen.Random(gen.Config{Seed: 7, Edges: 10, Tasks: 40, CapLo: 64, CapHi: 257, Class: gen.Large})
-	run("E9Large", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_, err := largesap.Solve(e9, largesap.Options{})
-			check(err)
-		}
-	})
-
 	// The speedup probe: the full pipeline on a mixed instance with enough
 	// medium classes that both the arm-level and class-level parallelism
-	// have work to spread. Identical instance for both worker counts; the
-	// Result is byte-identical by construction (see core.Solve), only the
-	// wall clock differs.
+	// have work to spread. The Result is byte-identical for both worker
+	// counts (see core.Solve); only the wall clock differs.
 	e11 := gen.Random(gen.Config{Seed: 9, Edges: 10, Tasks: 42, CapLo: 128, CapHi: 513, Class: gen.Mixed})
-	var w1, w4 Entry
-	for _, workers := range []int{1, 4} {
-		e := run(fmt.Sprintf("E11Combined/workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				_, err := core.Solve(e11, core.Params{Workers: workers})
-				check(err)
-			}
-		})
-		if workers == 1 {
-			w1 = e
-		} else {
-			w4 = e
-		}
-	}
-	if w4.NsPerOp > 0 {
-		rep.Speedups["E11Combined/workers=4"] = w1.NsPerOp / w4.NsPerOp
-	}
-
 	// The shard speedup probe: an archipelago decomposes into as many
 	// independent sub-instances as it has islands, so the scatter is the
-	// coarsest — and best-scaling — parallelism in the pipeline. Twelve
-	// islands of non-trivial combined solves leave CI's four workers nearly
-	// always busy; the ≥2x gate on this figure is what keeps the scatter
-	// actually parallel. Same instance both runs; the Result is
+	// coarsest parallelism in the pipeline. Twelve islands of non-trivial
+	// combined solves leave four workers nearly always busy. The Result is
 	// byte-identical by the shard determinism contract.
 	e30 := gen.Archipelago(gen.ArchipelagoConfig{
 		Seed: 31, Islands: 12, IslandEdges: 8, GapEdges: 2,
 		TasksPerIsland: 18, CapLo: 64, CapHi: 257, Class: gen.Mixed,
 	})
-	var s1, s4 Entry
-	for _, workers := range []int{1, 4} {
-		e := run(fmt.Sprintf("E30Shard/workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				_, err := core.Solve(e30, core.Params{Workers: workers})
-				check(err)
-			}
-		})
-		if workers == 1 {
-			s1 = e
-		} else {
-			s4 = e
-		}
-	}
-	if s4.NsPerOp > 0 {
-		rep.Speedups["E30Shard/workers=4"] = s1.NsPerOp / s4.NsPerOp
-	}
-
 	// Regression anchors for the slab-backed DP loops: the Chen DP keeps
 	// its states, placements and keys in arena slabs, and the UFPP pipeline
 	// reuses per-arm arenas across its class fan-outs. Their allocs/op are
-	// pinned here so CompareAllocs catches a return to per-state maps.
+	// pinned so CompareAllocs catches a return to per-state maps.
 	e18 := gen.Random(gen.Config{Seed: 15, Edges: 10, Tasks: 20, CapLo: 16, CapHi: 17, Class: gen.Large})
-	run("E18ChenDP", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_, err := chendp.Solve(e18, chendp.Options{})
-			check(err)
-		}
-	})
-
 	e22 := gen.Random(gen.Config{Seed: 23, Edges: 8, Tasks: 36, CapLo: 64, CapHi: 257, Class: gen.Mixed})
-	run("E22UFPPFull", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_, err := ufppfull.Solve(e22, ufppfull.Params{})
-			check(err)
-		}
-	})
-
 	ring := gen.Ring(11, 8, 10, 64, 257)
-	run("E12Ring", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_, err := ringsap.Solve(ring, ringsap.Params{})
-			check(err)
-		}
-	})
-
 	// Bottleneck micro: 256 edges × 512 tasks, well past the RMQ gate. The
 	// rmq entry includes the O(m log m) index build every op, so the pair is
 	// an honest end-to-end comparison of the two query strategies.
 	bq := gen.Random(gen.Config{Seed: 41, Edges: 256, Tasks: 512, CapLo: 64, CapHi: 4097, Class: gen.Mixed})
-	run("BottleneckQueries/linear", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
+	// The churn probe: the incremental session engine vs cold re-solves on
+	// an identical delta stream (see churn).
+	e35 := gen.Archipelago(gen.ArchipelagoConfig{
+		Seed: 35, Islands: 12, IslandEdges: 8, GapEdges: 2,
+		TasksPerIsland: 18, CapLo: 64, CapHi: 257, Class: gen.Mixed,
+	})
+
+	return []Case{
+		{CalibrationName, timed(nil, func(int) error {
+			sink += spin()
+			return nil
+		})},
+		{"E4StripPack", timed(func() error {
+			res, err := smallsap.Solve(e4, smallsap.Params{})
+			if err != nil {
+				return err
+			}
+			return oracle.CheckSAP(e4, res.Solution)
+		}, func(int) error {
+			_, err := smallsap.Solve(e4, smallsap.Params{})
+			return err
+		})},
+		{"E9Large", timed(nil, func(int) error {
+			_, err := largesap.Solve(e9, largesap.Options{})
+			return err
+		})},
+		{"E11Combined/workers=1", combined(e11, 1)},
+		{"E11Combined/workers=4", combined(e11, 4)},
+		{"E30Shard/workers=1", combined(e30, 1)},
+		{"E30Shard/workers=4", combined(e30, 4)},
+		{"E18ChenDP", timed(nil, func(int) error {
+			_, err := chendp.Solve(e18, chendp.Options{})
+			return err
+		})},
+		{"E22UFPPFull", timed(func() error {
+			res, err := ufppfull.Solve(e22, ufppfull.Params{})
+			if err != nil {
+				return err
+			}
+			return model.ValidUFPP(e22, res.Tasks)
+		}, func(int) error {
+			_, err := ufppfull.Solve(e22, ufppfull.Params{})
+			return err
+		})},
+		{"E12Ring", timed(nil, func(int) error {
+			_, err := ringsap.Solve(ring, ringsap.Params{})
+			return err
+		})},
+		{"BottleneckQueries/linear", timed(nil, func(int) error {
 			var acc int64
 			for _, t := range bq.Tasks {
 				acc += bq.Bottleneck(t)
 			}
 			sink += uint64(acc)
-		}
-	})
-	run("BottleneckQueries/rmq", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
+			return nil
+		})},
+		{"BottleneckQueries/rmq", timed(nil, func(int) error {
 			ix := model.NewBottleneckIndex(bq.Capacity)
 			var acc int64
 			for _, t := range bq.Tasks {
 				acc += ix.Bottleneck(t)
 			}
 			sink += uint64(acc)
-		}
-	})
+			return nil
+		})},
+		{"E35SessionChurn/incremental", churn(e35, false)},
+		{"E35SessionChurn/full", churn(e35, true)},
+	}
+}
 
-	// The churn probe: the incremental session engine vs cold re-solves on
-	// an identical delta stream. Each op removes one task and re-adds it —
-	// a one-island dirty region — so the incremental engine re-solves 1 of
-	// 12 shards where the full baseline re-solves all 12. Workers is pinned
-	// to 1 in both modes so the ratio measures work reduction, not
-	// parallelism; the ≥5x gate on the incremental speedup is what keeps
-	// deltas from quietly regressing to cold solves.
-	e35 := gen.Archipelago(gen.ArchipelagoConfig{
-		Seed: 35, Islands: 12, IslandEdges: 8, GapEdges: 2,
-		TasksPerIsland: 18, CapLo: 64, CapHi: 257, Class: gen.Mixed,
+// timed is a benchmark of op: setup (if not nil) runs first, untimed, and
+// then op(i) runs for i in [0, b.N). An error from either fails the case.
+// The untimed setup is where a case checks its output once, so the check
+// adds nothing to the measurement.
+func timed(setup func() error, op func(i int) error) func(*testing.B) {
+	return func(b *testing.B) {
+		if setup != nil {
+			if err := setup(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := op(i); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// combined times the full pipeline on in at the given worker count.
+func combined(in *model.Instance, workers int) func(*testing.B) {
+	return timed(nil, func(int) error {
+		_, err := core.Solve(in, core.Params{Workers: workers})
+		return err
 	})
-	var inc, full Entry
-	for _, mode := range []struct {
-		name string
-		full bool
-	}{{"incremental", false}, {"full", true}} {
-		sess, err := session.New(e35.Capacity, session.Options{Params: core.Params{Workers: 1}, Full: mode.full})
-		check(err)
-		if sess == nil {
+}
+
+// churn times one session delta that removes a task and re-adds it: a
+// one-island dirty region, so the incremental engine re-solves 1 of the
+// archipelago's shards where the full baseline (full) re-solves all of
+// them. Workers is pinned to 1 in both modes so the ratio measures work
+// reduction, not parallelism; the ≥5x gate on the incremental speedup is
+// what keeps deltas from quietly regressing to cold solves.
+func churn(in *model.Instance, full bool) func(*testing.B) {
+	var sess *session.Session
+	return timed(func() (err error) {
+		sess, err = session.New(in.Capacity, session.Options{Params: core.Params{Workers: 1}, Full: full})
+		if err == nil {
+			_, err = sess.Apply(context.Background(), session.Delta{Add: in.Tasks})
+		}
+		return err
+	}, func(i int) error {
+		t := in.Tasks[i%len(in.Tasks)]
+		_, err := sess.Apply(context.Background(), session.Delta{Remove: []int{t.ID}, Add: []model.Task{t}})
+		return err
+	})
+}
+
+// Run measures each case with testing.Benchmark and returns the report,
+// with the speedups computed from the named entries. A case that fails
+// with b.Fatal (testing.Benchmark then reports no iterations) is left out of
+// the report and named in the returned error. verbose, if non-nil, receives
+// a progress line per case.
+func Run(cases []Case, verbose func(string)) (*Report, error) {
+	rep := NewReport()
+	var failed []string
+	for _, c := range cases {
+		res := testing.Benchmark(c.Fn)
+		if res.N == 0 {
+			failed = append(failed, c.Name)
+			if verbose != nil {
+				verbose(fmt.Sprintf("%-28s FAILED", c.Name))
+			}
 			continue
 		}
-		_, err = sess.Apply(context.Background(), session.Delta{Add: e35.Tasks})
-		check(err)
-		e := run("E35SessionChurn/"+mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				t := e35.Tasks[i%len(e35.Tasks)]
-				_, err := sess.Apply(context.Background(), session.Delta{Remove: []int{t.ID}, Add: []model.Task{t}})
-				check(err)
-			}
-		})
-		if mode.full {
-			full = e
-		} else {
-			inc = e
+		e := Entry{
+			Name:        c.Name,
+			NsPerOp:     float64(res.T.Nanoseconds()) / float64(res.N),
+			AllocsPerOp: res.AllocsPerOp(),
+			BytesPerOp:  res.AllocedBytesPerOp(),
+		}
+		rep.Entries = append(rep.Entries, e)
+		if verbose != nil {
+			verbose(fmt.Sprintf("%-28s %12.0f ns/op %8d allocs/op %10d B/op", e.Name, e.NsPerOp, e.AllocsPerOp, e.BytesPerOp))
 		}
 	}
-	if inc.NsPerOp > 0 {
-		rep.Speedups["E35SessionChurn/incremental"] = full.NsPerOp / inc.NsPerOp
-	}
-
-	run("ParDispatch/n=65536", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			check(par.ForEach(65536, 0, func(j int) error {
-				if j < 0 {
-					return fmt.Errorf("bad index %d", j)
-				}
-				return nil
-			}))
+	for _, sp := range speedups {
+		slow, ok := rep.Entry(sp.slow)
+		fast, ok2 := rep.Entry(sp.fast)
+		if ok && ok2 && fast.NsPerOp > 0 {
+			rep.Speedups[sp.name] = slow.NsPerOp / fast.NsPerOp
 		}
-	})
-
-	return rep, fail
+	}
+	if len(failed) > 0 {
+		return rep, fmt.Errorf("benchjson: %d case(s) failed: %s", len(failed), strings.Join(failed, ", "))
+	}
+	return rep, nil
 }

@@ -334,46 +334,6 @@ func (s Suite) E20Scaling() (Table, error) {
 	return t, nil
 }
 
-// E21LPEngines compares the two LP engines on the UFPP relaxation: the
-// exact bounded-variable simplex vs the multiplicative-weights
-// approximation, in quality and time.
-func (s Suite) E21LPEngines() (Table, error) {
-	t := Table{
-		ID:      "E21",
-		Title:   "Substrate — simplex vs multiplicative-weights on relaxation (1)",
-		Columns: []string{"n", "edges", "simplex time", "MWU time", "MWU/simplex objective"},
-	}
-	sizes := []struct{ n, m int }{{100, 16}, {400, 24}, {1000, 32}}
-	if s.Quick {
-		sizes = sizes[:2]
-	}
-	for _, sz := range sizes {
-		in := gen.Random(gen.Config{Seed: s.Seed + int64(21000+sz.n), Edges: sz.m, Tasks: sz.n, CapLo: 256, CapHi: 1025, Class: gen.Small})
-		p := lp.UFPPRelaxation(in)
-		t0 := time.Now()
-		exactSol, err := lp.Solve(p)
-		if err != nil {
-			return Table{}, err
-		}
-		simplexTime := time.Since(t0)
-		t1 := time.Now()
-		approx, err := lp.ApproxPacking(p, lp.ApproxOptions{Eps: 0.1})
-		if err != nil {
-			return Table{}, err
-		}
-		mwuTime := time.Since(t1)
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprint(sz.n), fmt.Sprint(sz.m),
-			simplexTime.Round(time.Microsecond).String(),
-			mwuTime.Round(time.Microsecond).String(),
-			f3(approx.Objective / exactSol.Objective),
-		})
-	}
-	t.Notes = append(t.Notes,
-		"Expected shape: MWU stays within a few percent of the simplex optimum; its advantage is asymptotic (no tableau), while the dense simplex wins outright at these sizes.")
-	return t, nil
-}
-
 // E22PriceOfContiguity runs both combined pipelines — the paper's SAP
 // algorithm and the Bonsma-style UFPP algorithm it adapts — on identical
 // workloads and measures how much weight the contiguity constraint costs,

@@ -7,9 +7,11 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -55,45 +57,79 @@ func (s Suite) trials(full int) int {
 	return full
 }
 
-// RunAll executes every experiment. Experiments are independent and run
-// concurrently; the returned order is fixed (E1..E24). The first runner
-// error (in experiment order) aborts the suite and is returned.
-func (s Suite) RunAll() ([]Table, error) {
-	runners := []func() (Table, error){
-		s.E1Fig1Gap,
-		s.E2Classification,
-		s.E3Clipping,
-		s.E4StripPack,
-		s.E5LocalRatioStrip,
-		s.E6StripConversion,
-		s.E7Medium,
-		s.E8Gravity,
-		s.E9Large,
-		s.E10Degeneracy,
-		s.E11Combined,
-		s.E12Ring,
-		s.E13BestOf,
-		s.E14LPGap,
-		s.E15DeltaSweep,
-		s.E16UniformBaselines,
-		s.E17PackingAblation,
-		s.E18ChenDP,
-		s.E19MinStretch,
-		s.E20Scaling,
-		s.E21LPEngines,
-		s.E22PriceOfContiguity,
-		s.E23Windows,
-		s.E24Improve,
+// runner builds the table with the given ID.
+type runner struct {
+	id  string
+	run func() (Table, error)
+}
+
+// runners lists the experiments in table order. E21 is not used: its
+// number belonged to a retired experiment, and the others keep theirs.
+func (s Suite) runners() []runner {
+	return []runner{
+		{"E1", s.E1Fig1Gap},
+		{"E2", s.E2Classification},
+		{"E3", s.E3Clipping},
+		{"E4", s.E4StripPack},
+		{"E5", s.E5LocalRatioStrip},
+		{"E6", s.E6StripConversion},
+		{"E7", s.E7Medium},
+		{"E8", s.E8Gravity},
+		{"E9", s.E9Large},
+		{"E10", s.E10Degeneracy},
+		{"E11", s.E11Combined},
+		{"E12", s.E12Ring},
+		{"E13", s.E13BestOf},
+		{"E14", s.E14LPGap},
+		{"E15", s.E15DeltaSweep},
+		{"E16", s.E16UniformBaselines},
+		{"E17", s.E17PackingAblation},
+		{"E18", s.E18ChenDP},
+		{"E19", s.E19MinStretch},
+		{"E20", s.E20Scaling},
+		{"E22", s.E22PriceOfContiguity},
+		{"E23", s.E23Windows},
+		{"E24", s.E24Improve},
 	}
-	tables, err := par.Map(len(runners), 0, func(i int) (Table, error) {
-		t, err := runners[i]()
-		if err != nil {
-			return Table{}, fmt.Errorf("experiments: E%d: %w", i+1, err)
+}
+
+// RunAll executes every experiment, or only those whose table IDs are
+// listed in only, and returns their tables in experiment order. An unknown
+// ID is an error. Experiments are independent and run concurrently through
+// par.Run, so each runs to the end whatever the others do. A runner that
+// fails or panics fails the suite with an error that names its table ID; a
+// panic comes back as that error (a saperr.Internal), not re-raised. When
+// several fail, the first in experiment order is returned.
+func (s Suite) RunAll(only ...string) ([]Table, error) {
+	return run(s.runners(), only)
+}
+
+// run executes the runners whose IDs are in only (all of them when only is
+// empty).
+func run(all []runner, only []string) ([]Table, error) {
+	rs := all
+	if len(only) > 0 {
+		rs = nil
+		for _, r := range all {
+			if slices.Contains(only, r.id) {
+				rs = append(rs, r)
+			}
 		}
-		return t, nil
+		for _, id := range only {
+			if !slices.ContainsFunc(rs, func(r runner) bool { return r.id == id }) {
+				return nil, fmt.Errorf("experiments: unknown experiment %q", id)
+			}
+		}
+	}
+	outs := par.Run(context.Background(), len(rs), 0, func(_ context.Context, i int) (Table, error) {
+		return rs[i].run()
 	})
-	if err != nil {
-		return nil, err
+	tables := make([]Table, len(outs))
+	for i, o := range outs {
+		if o.Err != nil {
+			return nil, fmt.Errorf("experiments: %s: %w", rs[i].id, o.Err)
+		}
+		tables[i] = o.Val
 	}
 	return tables, nil
 }

@@ -2,9 +2,13 @@ package experiments
 
 import (
 	"bytes"
+	"errors"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
+
+	"sapalloc/internal/saperr"
 )
 
 // quickSuite runs everything in quick mode once and shares the result.
@@ -44,8 +48,8 @@ func parseF(t *testing.T, s string) float64 {
 
 func TestRunAllProducesAllTables(t *testing.T) {
 	ts := tables(t)
-	if len(ts) != 24 {
-		t.Fatalf("RunAll produced %d tables, want 24", len(ts))
+	if len(ts) != 23 {
+		t.Fatalf("RunAll produced %d tables, want 23", len(ts))
 	}
 	seen := map[string]bool{}
 	for _, tb := range ts {
@@ -60,9 +64,56 @@ func TestRunAllProducesAllTables(t *testing.T) {
 		seen[tb.ID] = true
 	}
 	for i := 1; i <= 24; i++ {
-		if !seen["E"+strconv.Itoa(i)] {
-			t.Errorf("missing table E%d", i)
+		if id := "E" + strconv.Itoa(i); seen[id] != (i != 21) {
+			t.Errorf("table %s present = %v", id, seen[id])
 		}
+	}
+}
+
+// TestRunNamesFailingRunner: a runner that fails or panics fails the suite
+// with an error that names its table ID, not its slot.
+func TestRunNamesFailingRunner(t *testing.T) {
+	boom := errors.New("boom")
+	ok := runner{"E1", func() (Table, error) { return Table{ID: "E1"}, nil }}
+	for _, c := range []struct {
+		bad   runner
+		check func(error) bool
+	}{
+		{runner{"E22", func() (Table, error) { return Table{}, boom }},
+			func(err error) bool { return errors.Is(err, boom) }},
+		{runner{"E23", func() (Table, error) { panic("kaboom") }},
+			func(err error) bool { var ie *saperr.Internal; return errors.As(err, &ie) && ie.Value == "kaboom" }},
+	} {
+		ts, err := run([]runner{ok, c.bad}, nil)
+		if err == nil || ts != nil || !c.check(err) || !strings.Contains(err.Error(), "experiments: "+c.bad.id+":") {
+			t.Errorf("runner %s: tables %v, err %v; want an error naming %s", c.bad.id, ts, err, c.bad.id)
+		}
+	}
+}
+
+// TestRunOnly: a selection runs the named runners, and no other, and
+// returns their tables in experiment order; an unknown ID is an error.
+func TestRunOnly(t *testing.T) {
+	ran := map[string]int{}
+	var mu sync.Mutex
+	var all []runner
+	for _, id := range []string{"E1", "E2", "E9", "E10", "E22"} {
+		all = append(all, runner{id, func() (Table, error) {
+			mu.Lock()
+			ran[id]++
+			mu.Unlock()
+			return Table{ID: id}, nil
+		}})
+	}
+	ts, err := run(all, []string{"E10", "E9"})
+	if err != nil || len(ts) != 2 || ts[0].ID != "E9" || ts[1].ID != "E10" {
+		t.Fatalf("run(E10,E9) = %v, %v; want the E9 and E10 tables", ts, err)
+	}
+	if len(ran) != 2 || ran["E9"] != 1 || ran["E10"] != 1 {
+		t.Errorf("runners run: %v; want E9 and E10 once each", ran)
+	}
+	if _, err := run(all, []string{"E9", "E21"}); err == nil || !strings.Contains(err.Error(), `"E21"`) {
+		t.Errorf("unknown ID: err %v, want one naming E21", err)
 	}
 }
 
@@ -373,15 +424,6 @@ func TestE20ScalingSane(t *testing.T) {
 		}
 		if r := parseF(t, row[4]); r < 1-1e-9 || r > 10 {
 			t.Errorf("%s n=%s: LP-bound/weight %g out of [1,10]", row[0], row[1], r)
-		}
-	}
-}
-
-func TestE21LPEnginesQuality(t *testing.T) {
-	tb := findTable(t, "E21")
-	for _, row := range tb.Rows {
-		if q := parseF(t, row[4]); q < 0.8 || q > 1+1e-9 {
-			t.Errorf("n=%s: MWU/simplex %g out of [0.8, 1]", row[0], q)
 		}
 	}
 }

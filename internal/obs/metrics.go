@@ -196,7 +196,6 @@ var (
 	BBFallbacks    = NewCounter("largesap_bb_fallback")   // path-DP → branch-and-bound fallbacks
 	ExactBBNodes   = NewCounter("exact_bb_nodes")         // exact SAP branch-and-bound nodes (path, ring, window)
 	ExactFallbacks = NewCounter("medium_exact_fallbacks") // medium classes degraded to incumbents
-	MWUIters       = NewCounter("lp_mwu_iters")           // Garg–Könemann oracle iterations
 	OracleChecks   = NewCounter("oracle_checks")          // oracle feasibility verifications
 
 	// Quality: 1000·(achieved weight)/(LP upper bound), recorded once per
@@ -433,11 +432,11 @@ func DumpJSON(w io.Writer) error {
 // periodically: solve ladder, admission, and the busiest work counters.
 func Summary() string {
 	return fmt.Sprintf(
-		"solves=%d (ok=%d deg=%d fail=%d) tasks=%d/%d segtree=%d knap=%d dp=%d bb=%d mwu=%d spans=%d",
+		"solves=%d (ok=%d deg=%d fail=%d) tasks=%d/%d segtree=%d knap=%d dp=%d bb=%d spans=%d",
 		SolvesStarted.Value(), SolvesCompleted.Value(), SolvesDegraded.Value(), SolvesFailed.Value(),
 		TasksAdmitted.Value(), TasksInput.Value(),
 		SegtreeOps.Value(), KnapsackCells.Value(), DPStates.Value(), BBNodes.Value(),
-		MWUIters.Value(), SpanCount())
+		SpanCount())
 }
 
 // SessionSummary is the incremental-engine counterpart of Summary: one line

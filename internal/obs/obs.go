@@ -9,7 +9,7 @@
 // atomic gate word and returns immediately when its facility is disabled.
 // The disabled cost is therefore a single uncontended atomic load per hook,
 // cheap enough to leave the hooks inside hot loops (segment-tree ops, DP
-// rows, MWU iterations); the committed BENCH.json regression gate pins the
+// rows, branch-and-bound nodes); the committed BENCH.json regression gate pins the
 // claim, and docs/OBSERVABILITY.md records the measured overhead.
 //
 // Enabling is process-global and not synchronized with in-flight solves:

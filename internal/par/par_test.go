@@ -12,124 +12,6 @@ import (
 	"sapalloc/internal/scratch"
 )
 
-func TestForEachRunsAll(t *testing.T) {
-	const n = 1000
-	var count int64
-	hit := make([]int32, n)
-	err := ForEach(n, 8, func(i int) error {
-		atomic.AddInt64(&count, 1)
-		atomic.AddInt32(&hit[i], 1)
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("ForEach: %v", err)
-	}
-	if count != n {
-		t.Fatalf("ran %d of %d", count, n)
-	}
-	for i, h := range hit {
-		if h != 1 {
-			t.Fatalf("index %d ran %d times", i, h)
-		}
-	}
-}
-
-func TestForEachSequentialFallback(t *testing.T) {
-	order := []int{}
-	err := ForEach(5, 1, func(i int) error {
-		order = append(order, i) // safe: single worker
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("%v", err)
-	}
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("sequential order violated: %v", order)
-		}
-	}
-}
-
-func TestForEachFirstErrorInIndexOrder(t *testing.T) {
-	errA := errors.New("a")
-	errB := errors.New("b")
-	err := ForEach(10, 4, func(i int) error {
-		switch i {
-		case 3:
-			return errA
-		case 7:
-			return errB
-		}
-		return nil
-	})
-	if !errors.Is(err, errA) {
-		t.Fatalf("want first error (index 3), got %v", err)
-	}
-}
-
-func TestForEachSequentialStopsAtError(t *testing.T) {
-	ran := 0
-	boom := errors.New("boom")
-	err := ForEach(10, 1, func(i int) error {
-		ran++
-		if i == 2 {
-			return boom
-		}
-		return nil
-	})
-	if !errors.Is(err, boom) || ran != 3 {
-		t.Fatalf("err=%v ran=%d", err, ran)
-	}
-}
-
-func TestForEachPanicPropagates(t *testing.T) {
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatalf("panic not propagated")
-		}
-		if s, ok := r.(string); !ok || s != "kaboom" {
-			t.Fatalf("unexpected panic value %v", r)
-		}
-	}()
-	_ = ForEach(10, 4, func(i int) error {
-		if i == 5 {
-			panic("kaboom")
-		}
-		return nil
-	})
-}
-
-func TestForEachEmpty(t *testing.T) {
-	if err := ForEach(0, 4, func(int) error { t.Fatal("called"); return nil }); err != nil {
-		t.Fatalf("%v", err)
-	}
-}
-
-func TestMapOrdered(t *testing.T) {
-	out, err := Map(100, 8, func(i int) (int, error) { return i * i, nil })
-	if err != nil {
-		t.Fatalf("%v", err)
-	}
-	for i, v := range out {
-		if v != i*i {
-			t.Fatalf("out[%d] = %d", i, v)
-		}
-	}
-}
-
-func TestMapError(t *testing.T) {
-	boom := errors.New("boom")
-	if _, err := Map(10, 4, func(i int) (int, error) {
-		if i == 4 {
-			return 0, boom
-		}
-		return i, nil
-	}); !errors.Is(err, boom) {
-		t.Fatalf("want boom, got %v", err)
-	}
-}
-
 func TestWorkers(t *testing.T) {
 	if Workers(0, 100) != runtime.GOMAXPROCS(0) && runtime.GOMAXPROCS(0) <= 100 {
 		t.Errorf("Workers(0, 100) = %d", Workers(0, 100))
@@ -142,11 +24,12 @@ func TestWorkers(t *testing.T) {
 	}
 }
 
-// BenchmarkForEachDispatch isolates the dispatch overhead of the fork-join
-// substrate: items are nearly free (one atomic add of caller work), so
-// ns/op ≈ per-item scheduling cost. small-n measures the goroutine spin-up
-// amortization, large-n the steady-state claim cost.
-func BenchmarkForEachDispatch(b *testing.B) {
+// BenchmarkRunDispatch isolates the dispatch overhead of the fork-join:
+// items are nearly free (one atomic add of caller work), so ns/op ≈ per-item
+// scheduling cost. small-n measures the goroutine spin-up amortization,
+// large-n the steady-state claim cost, including each concurrent item's
+// pooled arena.
+func BenchmarkRunDispatch(b *testing.B) {
 	for _, bc := range []struct {
 		name       string
 		n, workers int
@@ -156,118 +39,16 @@ func BenchmarkForEachDispatch(b *testing.B) {
 		{"large-n65536/workers0", 65536, 0},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			var sink int64
+			var sink atomic.Int64
+			fn := func(_ context.Context, j int) (struct{}, error) {
+				sink.Add(int64(j))
+				return struct{}{}, nil
+			}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				_ = ForEach(bc.n, bc.workers, func(j int) error {
-					atomic.AddInt64(&sink, int64(j))
-					return nil
-				})
+				_ = Run(context.Background(), bc.n, bc.workers, fn)
 			}
 		})
-	}
-}
-
-func TestForEachPanicDeterministicLowestIndex(t *testing.T) {
-	// Every item panics with its own index. Item 0 is always the first
-	// index claimed, so the re-raised panic must be 0 on every run.
-	for rep := 0; rep < 50; rep++ {
-		got := func() (v any) {
-			defer func() { v = recover() }()
-			_ = ForEach(100, 8, func(i int) error { panic(i) })
-			return nil
-		}()
-		if got != 0 {
-			t.Fatalf("rep %d: re-raised panic from index %v, want 0", rep, got)
-		}
-	}
-}
-
-func TestForEachPanicStopsDispatch(t *testing.T) {
-	const n = 100_000
-	var ran atomic.Int64
-	func() {
-		defer func() { _ = recover() }()
-		_ = ForEach(n, 4, func(i int) error {
-			ran.Add(1)
-			if i == 0 {
-				panic("stop")
-			}
-			return nil
-		})
-	}()
-	// After the panic at item 0 the stop flag halts claiming; only items
-	// already in flight (≈ worker count) may still finish.
-	if got := ran.Load(); got >= n/2 {
-		t.Fatalf("dispatch did not stop after panic: %d of %d items ran", got, n)
-	}
-}
-
-func TestForEachCtxCancelledBeforeStart(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	for _, w := range []int{1, 4} {
-		called := false
-		err := ForEachCtx(ctx, 10, w, func(i int) error { called = true; return nil })
-		if !saperr.IsCancelled(err) {
-			t.Fatalf("workers=%d: want ErrCancelled, got %v", w, err)
-		}
-		if w == 1 && called {
-			t.Fatal("sequential path ran an item under a dead context")
-		}
-	}
-}
-
-func TestForEachCtxCancelMidway(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	var ran atomic.Int64
-	const n = 100_000
-	err := ForEachCtx(ctx, n, 4, func(i int) error {
-		if ran.Add(1) == 10 {
-			cancel()
-		}
-		return nil
-	})
-	if !saperr.IsCancelled(err) {
-		t.Fatalf("want ErrCancelled, got %v", err)
-	}
-	if got := ran.Load(); got >= n/2 {
-		t.Fatalf("dispatch did not stop after cancel: %d of %d items ran", got, n)
-	}
-}
-
-func TestForEachCtxErrorBeatsCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	boom := errors.New("boom")
-	err := ForEachCtx(ctx, 8, 2, func(i int) error {
-		if i == 0 {
-			cancel()
-			return boom
-		}
-		return nil
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("fn error at index 0 should win, got %v", err)
-	}
-}
-
-func TestForEachCtxCompletesWithLiveContext(t *testing.T) {
-	var ran atomic.Int64
-	err := ForEachCtx(context.Background(), 500, 8, func(i int) error {
-		ran.Add(1)
-		return nil
-	})
-	if err != nil || ran.Load() != 500 {
-		t.Fatalf("err=%v ran=%d", err, ran.Load())
-	}
-}
-
-func TestMapCtxCancelled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	out, err := MapCtx(ctx, 10, 4, func(i int) (int, error) { return i, nil })
-	if !saperr.IsCancelled(err) || out != nil {
-		t.Fatalf("out=%v err=%v", out, err)
 	}
 }
 
@@ -424,5 +205,22 @@ func TestAllocsRunSequential(t *testing.T) {
 	t.Logf("Run/sequential/8: %.1f allocs/op (budget %d)", got, budget)
 	if got > budget {
 		t.Errorf("Run/sequential/8: %.1f allocs/op exceeds budget %d", got, budget)
+	}
+}
+
+func TestAllocsRunConcurrent(t *testing.T) {
+	if scratch.RaceEnabled {
+		t.Skip("alloc counts are inflated under -race")
+	}
+	fn := func(_ context.Context, i int) (int, error) { return i, nil }
+	got := testing.AllocsPerRun(200, func() {
+		_ = Run(context.Background(), 8, 2, fn)
+	})
+	// The outcome slice, the claim counter, the WaitGroup, one closure per
+	// worker, and one context per item carrying its pooled arena.
+	const budget = 13
+	t.Logf("Run/concurrent/8/workers=2: %.1f allocs/op (budget %d)", got, budget)
+	if got > budget {
+		t.Errorf("Run/concurrent/8/workers=2: %.1f allocs/op exceeds budget %d", got, budget)
 	}
 }
