@@ -69,6 +69,7 @@ if [ "$1" = "fuzz" ]; then
     fuzztime="${FUZZTIME:-30s}"
     echo "== fuzz smoke (${fuzztime} per target) =="
     go test -run '^$' -fuzz '^FuzzSolveSmallSAP$' -fuzztime "$fuzztime" ./internal/smallsap/
+    go test -run '^$' -fuzz '^FuzzPlan$' -fuzztime "$fuzztime" ./internal/classes/
     go test -run '^$' -fuzz '^FuzzCoreSolve$' -fuzztime "$fuzztime" ./internal/core/
     go test -run '^$' -fuzz '^FuzzScratchReuse$' -fuzztime "$fuzztime" ./internal/exact/
     go test -run '^$' -fuzz '^FuzzLevels$' -fuzztime "$fuzztime" ./internal/exact/

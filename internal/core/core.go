@@ -152,13 +152,13 @@ type Result struct {
 func Partition(in *model.Instance, deltaDen int64) (small, medium, large []model.Task) {
 	a := scratch.Get()
 	defer scratch.Put(a)
-	return partition(in, deltaDen, a, make([]model.Task, len(in.Tasks)))
+	return partitionInto(in, deltaDen, a, make([]model.Task, len(in.Tasks)))
 }
 
-// partition is Partition writing the three families into out, which must
+// partitionInto is Partition writing the three families into out, which must
 // hold len(in.Tasks) tasks: small, then medium, then large. The per-task
 // families are kept in a.
-func partition(in *model.Instance, deltaDen int64, a *scratch.Arena, out []model.Task) (small, medium, large []model.Task) {
+func partitionInto(in *model.Instance, deltaDen int64, a *scratch.Arena, out []model.Task) (small, medium, large []model.Task) {
 	if deltaDen < 1 {
 		deltaDen = 1 // δ ≥ 1 keeps the division below defined; withDefaults never passes less
 	}
@@ -285,7 +285,7 @@ func solveMono(ctx context.Context, start time.Time, in *model.Instance, p Param
 	ctx, a, owned := scratch.Attach(ctx)
 	defer scratch.Put(owned)
 	_, endPartition := obs.StartSpan(ctx, "core/partition")
-	small, medium, large := partition(in, p.DeltaDen, a, a.Tasks(len(in.Tasks)))
+	small, medium, large := partitionInto(in, p.DeltaDen, a, a.Tasks(len(in.Tasks)))
 	endPartition()
 	res = &Result{NumSmall: len(small), NumMedium: len(medium), NumLarge: len(large)}
 	report := &SolveReport{Deadline: p.Deadline}

@@ -1,14 +1,12 @@
 // Package intervals provides the interval primitives the allocation
-// algorithms are built on: half-open integer intervals, sweep-line load
-// profiles, a lazy segment tree supporting range-add / range-max (used by
-// first-fit allocators and validators), and greedy interval-graph coloring
-// (optimal for interval graphs; used to stack equal-height tasks).
+// algorithms are built on: half-open integer intervals, a lazy segment tree
+// supporting range-add / range-max (used by first-fit allocators and
+// validators), greedy interval-graph coloring (optimal for interval graphs;
+// used to stack equal-height tasks) and exact weighted interval scheduling.
 package intervals
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 	"sort"
 )
 
@@ -29,76 +27,11 @@ func (iv Interval) Overlaps(o Interval) bool { return iv.Start < o.End && o.Star
 // Contains reports whether x lies in [Start, End).
 func (iv Interval) Contains(x int) bool { return iv.Start <= x && x < iv.End }
 
-// Intersect returns the intersection and whether it is non-empty.
-func (iv Interval) Intersect(o Interval) (Interval, bool) {
-	s := max(iv.Start, o.Start)
-	e := min(iv.End, o.End)
-	if s < e {
-		return Interval{s, e}, true
-	}
-	return Interval{}, false
-}
-
 func (iv Interval) String() string { return fmt.Sprintf("[%d,%d)", iv.Start, iv.End) }
 
-// MaxOverlap returns the maximum number of intervals covering any single
-// point (the clique number of the interval graph), computed by a sweep.
-func MaxOverlap(ivs []Interval) int {
-	type ev struct {
-		x     int
-		delta int
-	}
-	events := make([]ev, 0, 2*len(ivs))
-	for _, iv := range ivs {
-		events = append(events, ev{iv.Start, +1}, ev{iv.End, -1})
-	}
-	// The generic sort avoids sort.Slice's reflection allocation; events
-	// with equal (x, delta) are interchangeable, so instability is fine.
-	slices.SortFunc(events, func(p, q ev) int {
-		if p.x != q.x {
-			return cmp.Compare(p.x, q.x)
-		}
-		return cmp.Compare(p.delta, q.delta) // close before open at same x
-	})
-	cur, best := 0, 0
-	for _, e := range events {
-		cur += e.delta
-		if cur > best {
-			best = cur
-		}
-	}
-	return best
-}
-
-// WeightedMaxOverlap returns the maximum total weight of intervals covering
-// any single point.
-func WeightedMaxOverlap(ivs []Interval, weights []int64) int64 {
-	type ev struct {
-		x     int
-		delta int64
-	}
-	events := make([]ev, 0, 2*len(ivs))
-	for i, iv := range ivs {
-		events = append(events, ev{iv.Start, weights[i]}, ev{iv.End, -weights[i]})
-	}
-	slices.SortFunc(events, func(p, q ev) int {
-		if p.x != q.x {
-			return cmp.Compare(p.x, q.x)
-		}
-		return cmp.Compare(p.delta, q.delta)
-	})
-	var cur, best int64
-	for _, e := range events {
-		cur += e.delta
-		if cur > best {
-			best = cur
-		}
-	}
-	return best
-}
-
 // GreedyColor colors the interval graph with the minimum number of colors
-// (equal to MaxOverlap) using the classic left-to-right greedy algorithm.
+// (the most intervals covering any single point) using the classic
+// left-to-right greedy algorithm.
 // It returns the color of each interval (0-based) and the number of colors.
 func GreedyColor(ivs []Interval) (colors []int, numColors int) {
 	n := len(ivs)
@@ -247,18 +180,4 @@ func MaxWeightScheduling(ivs []Interval, weights []int64) (chosen []int, total i
 		chosen[l], chosen[r] = chosen[r], chosen[l]
 	}
 	return chosen, dp[n]
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -23,9 +23,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/bits"
 	"slices"
 
+	"sapalloc/internal/classes"
 	"sapalloc/internal/exact"
 	"sapalloc/internal/faultinject"
 	"sapalloc/internal/model"
@@ -139,49 +139,12 @@ func SolveCtx(ctx context.Context, in *model.Instance, p Params) (*Result, error
 	ctx, a, owned := scratch.Attach(ctx)
 	defer scratch.Put(owned)
 
-	// Assign every task to its ℓ classes: k with 2^k ≤ b(j) < 2^{k+ℓ}, i.e.
-	// k ∈ { floor(log2 b) − ℓ + 1, …, floor(log2 b) }. k may be negative
-	// when b < 2^{ℓ−1}; lambda and the clip in elevate handle that.
-	// Class k − kLo holds classTasks[first[k−kLo]:first[k−kLo+1]], in task
-	// order.
-	tops := a.Ints(len(in.Tasks))
-	bot := in.BottleneckLookup()
-	kLo, kHi := math.MaxInt, math.MinInt
-	for i, t := range in.Tasks {
-		tops[i] = floorLog2(bot.Of(t))
-		kLo, kHi = min(kLo, tops[i]-ell+1), max(kHi, tops[i])
-	}
-	first := a.IntsZero(kHi - kLo + 2)
-	for _, top := range tops {
-		for k := top - ell + 1; k <= top; k++ {
-			first[k-kLo+1]++
-		}
-	}
-	nk := 0
-	for _, size := range first {
-		if size > 0 {
-			nk++
-		}
-	}
-	ks := a.Ints(nk)[:0]
-	for c := 1; c < len(first); c++ {
-		if first[c] > 0 {
-			ks = append(ks, kLo+c-1)
-		}
-		first[c] += first[c-1]
-	}
-	classTasks := a.Tasks(first[len(first)-1])
-	fill := a.Ints(len(first))
-	copy(fill, first)
-	for i, t := range in.Tasks {
-		for k := tops[i] - ell + 1; k <= tops[i]; k++ {
-			classTasks[fill[k-kLo]] = t
-			fill[k-kLo]++
-		}
-	}
+	// Every task joins its ℓ classes: k with 2^k ≤ b(j) < 2^{k+ℓ}. k may be
+	// negative when b < 2^{ℓ−1}; lambda and the clip in elevate handle that.
+	plan := classes.New(a, in, ell)
 	// A class's elevated solution takes at most one placement per task,
-	// so class k gets the placement range of its tasks.
-	classItems := a.Placements(len(classTasks))
+	// so class i gets the placement range of its tasks.
+	classItems := a.Placements(plan.Size())
 
 	// Per class: elevated 2-approximate solutions, solved concurrently —
 	// the classes are independent sub-instances. Classes that completed
@@ -191,13 +154,12 @@ func SolveCtx(ctx context.Context, in *model.Instance, p Params) (*Result, error
 		items    []model.Placement
 		degraded bool
 	}
-	outs := par.Run(ctx, len(ks), p.Workers, func(ctx context.Context, i int) (classOut, error) {
-		k := ks[i]
-		lo, hi := first[k-kLo], first[k-kLo+1]
+	outs := par.Run(ctx, plan.Len(), p.Workers, func(ctx context.Context, i int) (classOut, error) {
+		lo, hi := plan.Range(i)
 		ctx, endClass := obs.StartSpanTrack(ctx, "mediumsap/class")
 		defer endClass()
 		faultinject.Fire(ctx, "mediumsap/class")
-		items, degraded, err := elevate(ctx, in.Capacity, classTasks[lo:hi], k, ell, p, classItems[lo:lo:hi])
+		items, degraded, err := elevate(ctx, in.Capacity, plan.Tasks(i), plan.K(i), ell, p, classItems[lo:lo:hi])
 		return classOut{items: items, degraded: degraded}, err
 	})
 
@@ -207,8 +169,8 @@ func SolveCtx(ctx context.Context, in *model.Instance, p Params) (*Result, error
 	period := ell + q
 	residueWeight := a.Int64sZero(period)
 	completed := 0
-	for i, k := range ks {
-		out := outs[i]
+	for i, out := range outs {
+		k := plan.K(i)
 		switch {
 		case !out.Ran:
 			res.Degraded = true
@@ -235,18 +197,18 @@ func SolveCtx(ctx context.Context, in *model.Instance, p Params) (*Result, error
 		}
 	}
 	placed := 0
-	for i, k := range ks {
-		if residue(k, period) == res.Residue {
-			placed += len(outs[i].Val.items)
+	for i, out := range outs {
+		if residue(plan.K(i), period) == res.Residue {
+			placed += len(out.Val.items)
 		}
 	}
 	best := &model.Solution{}
 	if placed > 0 {
 		best.Items = make([]model.Placement, 0, placed)
 	}
-	for i, k := range ks {
-		if residue(k, period) == res.Residue {
-			best.Items = append(best.Items, outs[i].Val.items...)
+	for i, out := range outs {
+		if residue(plan.K(i), period) == res.Residue {
+			best.Items = append(best.Items, out.Val.items...)
 		}
 	}
 	res.Solution = best.SortByID()
@@ -299,14 +261,7 @@ func elevate(ctx context.Context, capacity []int64, tasks []model.Task, k, ell i
 	if degraded {
 		tasks = heaviest(tasks, exact.MaxTasks, a)
 	}
-	classIn := model.Instance{Capacity: capacity, Tasks: tasks}
-	if k+ell >= 0 && k+ell < 62 {
-		hi := int64(1) << uint(k+ell)
-		classIn.Capacity = a.Int64s(len(capacity))
-		for e, c := range capacity {
-			classIn.Capacity[e] = min(c, hi)
-		}
-	}
+	classIn := model.Instance{Capacity: classes.Clip(a, capacity, k, ell), Tasks: tasks}
 	exactCtx, endExact := obs.StartSpan(ctx, "mediumsap/exact")
 	opt, err := exact.AppendSAPCtx(exactCtx, dst, &classIn, p.Exact)
 	endExact()
@@ -418,12 +373,4 @@ func IsElevated(sol *model.Solution, k int, betaNum, betaDen int64) bool {
 		}
 	}
 	return true
-}
-
-// floorLog2 returns ⌊log2 v⌋ for v ≥ 1 (-1 for v ≤ 0).
-func floorLog2(v int64) int {
-	if v <= 0 {
-		return -1
-	}
-	return bits.Len64(uint64(v)) - 1
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"sapalloc/internal/classes"
 	"sapalloc/internal/exact"
 	"sapalloc/internal/model"
 	"sapalloc/internal/oracle"
@@ -149,7 +150,7 @@ func TestElevatePartitionProperty(t *testing.T) {
 				minB = b
 			}
 		}
-		k := floorLog2(minB)
+		k := classes.Log2(minB)
 		lifted, kept := ElevatePartition(opt, k, 1, 4)
 		if lifted.Len()+kept.Len() != opt.Len() {
 			t.Fatalf("partition lost tasks")
@@ -182,7 +183,7 @@ func TestElevatorProducesElevated2Approx(t *testing.T) {
 				minB = b
 			}
 		}
-		k := floorLog2(minB)
+		k := classes.Log2(minB)
 		var class []model.Task
 		for _, tk := range in.Tasks {
 			b := in.Bottleneck(tk)
@@ -207,15 +208,6 @@ func TestElevatorProducesElevated2Approx(t *testing.T) {
 		}
 		if 2*sol.Weight() < opt.Weight() {
 			t.Fatalf("trial %d: Elevator %d below class OPT/2 (%d)", trial, sol.Weight(), opt.Weight())
-		}
-	}
-}
-
-func TestFloorLog2(t *testing.T) {
-	cases := map[int64]int{1: 0, 2: 1, 3: 1, 4: 2, 7: 2, 8: 3, 1023: 9, 1024: 10}
-	for v, want := range cases {
-		if got := floorLog2(v); got != want {
-			t.Errorf("floorLog2(%d) = %d, want %d", v, got, want)
 		}
 	}
 }

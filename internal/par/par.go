@@ -1,6 +1,6 @@
 // Package par is the library's one fork-join over independent work items:
 // Run fans out the solver's sub-problems (arms, classes, shards) and the
-// experiment runners, with per-item panic containment, per-item arenas and
+// experiment runners, with per-item panic containment, per-worker arenas and
 // typed cancellation, and returns each item's Outcome in index order, so the
 // result is identical to the sequential execution regardless of scheduling.
 // Workers resolves a requested worker count.
@@ -53,11 +53,13 @@ type Outcome[T any] struct {
 //
 //   - A panicking item is contained (saperr.Contain) and becomes that
 //     item's Err; its siblings still run.
-//   - Arenas are single-goroutine. When items run concurrently, each item
-//     gets its own pooled arena on its ctx (scratch.Get, scratch.With),
-//     never the caller's. With one worker the items run one after another
-//     on ctx as given, so callees share the caller's arena, if any,
-//     through scratch.Acquire or scratch.Attach.
+//   - Arenas are single-goroutine. When items run concurrently, each
+//     worker takes one pooled arena and attaches it to ctx once
+//     (scratch.Get, scratch.With), never the caller's; it resets the arena
+//     between its items (Reset poisons it under scratch.SetPoison), so no
+//     item may keep arena memory past its return. With one worker the
+//     items run one after another on ctx as given, so callees share the
+//     caller's arena, if any, through scratch.Acquire or scratch.Attach.
 //   - Once ctx is done no further item is dispatched. Items that never ran
 //     have Ran == false and a typed saperr.ErrCancelled.
 //
@@ -82,14 +84,16 @@ func Run[T any](ctx context.Context, n, workers int, fn func(ctx context.Context
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
+				a := scratch.Get()
+				defer scratch.Put(a)
+				wctx := scratch.With(ctx, a)
 				for ctx.Err() == nil {
 					i := int(next.Add(1)) - 1
 					if i >= n {
 						return
 					}
-					a := scratch.Get()
-					runItem(scratch.With(ctx, a), i, fn, &out[i])
-					scratch.Put(a)
+					runItem(wctx, i, fn, &out[i])
+					a.Reset()
 				}
 			}()
 		}

@@ -27,8 +27,8 @@ func TestWorkers(t *testing.T) {
 // BenchmarkRunDispatch isolates the dispatch overhead of the fork-join:
 // items are nearly free (one atomic add of caller work), so ns/op ≈ per-item
 // scheduling cost. small-n measures the goroutine spin-up amortization,
-// large-n the steady-state claim cost, including each concurrent item's
-// pooled arena.
+// large-n the steady-state claim cost, including the reset of each
+// worker's pooled arena between its items.
 func BenchmarkRunDispatch(b *testing.B) {
 	for _, bc := range []struct {
 		name       string
@@ -217,8 +217,8 @@ func TestAllocsRunConcurrent(t *testing.T) {
 		_ = Run(context.Background(), 8, 2, fn)
 	})
 	// The outcome slice, the claim counter, the WaitGroup, one closure per
-	// worker, and one context per item carrying its pooled arena.
-	const budget = 13
+	// worker, and one context per worker carrying its pooled arena.
+	const budget = 7
 	t.Logf("Run/concurrent/8/workers=2: %.1f allocs/op (budget %d)", got, budget)
 	if got > budget {
 		t.Errorf("Run/concurrent/8/workers=2: %.1f allocs/op exceeds budget %d", got, budget)

@@ -13,10 +13,10 @@
 //
 //   - An Arena is single-goroutine. par.Run, the solver's one fork-join,
 //     enforces this: when its items (shards, arms, classes) run
-//     concurrently, each gets its own pooled Arena attached with With, and
-//     items run one after another share the caller's. A new fan-out goes
-//     through par.Run rather than handing a ctx-carried Arena to
-//     goroutines of its own.
+//     concurrently, each worker gets its own pooled Arena attached with
+//     With and reset between its items, and items run one after another
+//     share the caller's. A new fan-out goes through par.Run rather than
+//     handing a ctx-carried Arena to goroutines of its own.
 //   - Arena-backed memory must not escape the solve that grabbed it.
 //     Results handed to callers (Solutions, reports) are always built from
 //     freshly allocated memory.
@@ -25,9 +25,10 @@
 //     references.
 //
 // Grabbed slices hold arbitrary bytes ("dirty"): callers must fully
-// initialise what they read. SetPoison(true) makes Get and Put overwrite
-// all retained chunks with a sentinel pattern, so tests catch both
-// stale-buffer reads (assuming zeroed memory) and use-after-Put escapes.
+// initialise what they read. SetPoison(true) makes Get, Reset and Put
+// overwrite all retained chunks with a sentinel pattern, so tests catch
+// both stale-buffer reads (assuming zeroed memory) and use-after-Put
+// escapes.
 //
 // Besides its built-in slabs (integers, floats, booleans, tasks and
 // placements) an Arena hands out any element type a package registers as a
@@ -157,7 +158,8 @@ func (a *Arena) Tasks(n int) []model.Task { return grab(&a.tasks, n) }
 func (a *Arena) Placements(n int) []model.Placement { return grab(&a.pls, n) }
 
 // Reset rewinds every slab so all previously grabbed slices are up for
-// reuse. Grabbed slices must not be used afterwards.
+// reuse, and poisons them when SetPoison is on. Grabbed slices must not be
+// used afterwards.
 func (a *Arena) Reset() {
 	reset(&a.i64)
 	reset(&a.i32)
@@ -171,6 +173,9 @@ func (a *Arena) Reset() {
 		if k != nil {
 			k.reset()
 		}
+	}
+	if poisonOn.Load() {
+		a.Poison()
 	}
 }
 
@@ -257,24 +262,21 @@ var pool = sync.Pool{New: func() any { return new(Arena) }}
 
 var poisonOn atomic.Bool
 
-// SetPoison toggles test poisoning: when on, every Get and Put fills the
-// arena's retained memory with the sentinel pattern. Intended for tests
-// (the difftest scratch-reuse matrix runs the whole solver matrix under
-// it); it is not request-safe to toggle concurrently with solves that
-// expect a fixed setting.
+// SetPoison toggles test poisoning: when on, every Get, Reset and Put
+// fills the arena's retained memory with the sentinel pattern. Intended
+// for tests (the difftest scratch-reuse matrix runs the whole solver
+// matrix under it); it is not request-safe to toggle concurrently with
+// solves that expect a fixed setting.
 func SetPoison(on bool) { poisonOn.Store(on) }
 
 // Poisoning reports whether test poisoning is enabled.
 func Poisoning() bool { return poisonOn.Load() }
 
-// Get returns a reset Arena from the pool (poisoned first when SetPoison
-// is on). Pair with Put.
+// Get returns a reset Arena from the pool (poisoned when SetPoison is
+// on). Pair with Put.
 func Get() *Arena {
 	a := pool.Get().(*Arena)
 	a.Reset()
-	if poisonOn.Load() {
-		a.Poison()
-	}
 	return a
 }
 

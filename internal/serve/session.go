@@ -53,12 +53,14 @@ type sessionResponseDoc struct {
 	// Shards/ResolvedShards/ReusedShards account the delta's recomputation:
 	// resolved counts shards re-solved, reused counts shards carried over
 	// from the previous allocation. Full marks deltas that re-solved the
-	// whole path (no zero-load cut).
+	// whole path (no zero-load cut). Degraded, like /v1/solve's, marks an
+	// allocation holding a span that was solved degraded.
 	Shards         int            `json:"shards"`
 	ResolvedShards int            `json:"resolved_shards"`
 	ReusedShards   int            `json:"reused_shards"`
 	Full           bool           `json:"full,omitempty"`
 	DirtyEdges     int            `json:"dirty_edges"`
+	Degraded       bool           `json:"degraded,omitempty"`
 	Items          []solveItemDoc `json:"items"`
 }
 
@@ -193,6 +195,7 @@ func writeSessionResponse(w http.ResponseWriter, id string, res *session.Result)
 		ReusedShards:   res.Reused,
 		Full:           res.Full,
 		DirtyEdges:     res.DirtyEdges,
+		Degraded:       res.Degraded,
 		Items:          pathItems(res.Solution.Items),
 	}
 	body, err := json.Marshal(doc)

@@ -9,6 +9,8 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"sapalloc/internal/core"
+	"sapalloc/internal/exact"
 	"sapalloc/internal/faultinject"
 	"sapalloc/internal/gen"
 	"sapalloc/internal/model"
@@ -126,6 +128,49 @@ func TestServeSessionLifecycle(t *testing.T) {
 	resp, _ = postDelta(t, ts, id, sessionDeltaDoc{})
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("delta to deleted session: %d", resp.StatusCode)
+	}
+}
+
+// TestServeSessionDegraded: under a one-node exact budget the medium
+// island of a two-island instance degrades. The session create response
+// says so, as /v1/solve of the same task set does; a delta that re-solves
+// only the other island reuses the degraded span and still says so; and a
+// session that never degraded carries no "degraded" key at all.
+func TestServeSessionDegraded(t *testing.T) {
+	ts := newTestServer(t, Config{Params: core.Params{Exact: exact.Options{MaxNodes: 1}}})
+	in := &model.Instance{Capacity: []int64{64, 64, 64, 64, 64, 64, 64, 64}}
+	for i := 0; i < 6; i++ {
+		in.Tasks = append(in.Tasks, model.Task{ID: i, Start: i % 2, End: 3 + i%2, Demand: 20 + 2*int64(i), Weight: 10 + int64(i%4)})
+	}
+	in.Tasks = append(in.Tasks, model.Task{ID: 10, Start: 6, End: 8, Demand: 1, Weight: 3})
+	id, doc := createSession(t, ts, in)
+	resp, solveBody := postJSON(t, ts, "/v1/solve", encodeInstance(t, in))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/v1/solve: %d: %s", resp.StatusCode, solveBody)
+	}
+	var solveDoc solveResponseDoc
+	if err := json.Unmarshal(solveBody, &solveDoc); err != nil {
+		t.Fatal(err)
+	}
+	if !doc.Degraded || !solveDoc.Degraded {
+		t.Fatalf("session degraded %v, /v1/solve degraded %v; want both", doc.Degraded, solveDoc.Degraded)
+	}
+	resp, body := postDelta(t, ts, id, sessionDeltaDoc{Add: []sessionTaskDoc{{ID: 11, Start: 7, End: 8, Demand: 1, Weight: 2}}})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("delta: %d: %s", resp.StatusCode, body)
+	}
+	var d sessionResponseDoc
+	if err := json.Unmarshal(body, &d); err != nil {
+		t.Fatal(err)
+	}
+	if d.Full || d.ReusedShards == 0 || !d.Degraded {
+		t.Fatalf("delta reusing the degraded span: %+v; want it reused and degraded", d)
+	}
+
+	clean := newTestServer(t, Config{})
+	resp, body = postJSON(t, clean, "/v1/session", encodeInstance(t, in))
+	if resp.StatusCode != http.StatusOK || bytes.Contains(body, []byte(`"degraded"`)) {
+		t.Fatalf("undegraded session create: %d: %s", resp.StatusCode, body)
 	}
 }
 

@@ -77,6 +77,11 @@ type Result struct {
 	Reused     int
 	Full       bool
 	DirtyEdges int
+	// Degraded reports that some span of the maintained allocation came
+	// from a degraded solve (core.SolveReport.Degraded): an arm fell back
+	// to a best-effort solution, so the approximation guarantee does not
+	// cover that span.
+	Degraded bool
 }
 
 type spanKey struct{ lo, hi int }
@@ -84,10 +89,12 @@ type spanKey struct{ lo, hi int }
 // spanEntry caches one shard's lifted solution from the previous delta.
 // tasks is a belt-and-braces guard: a reusable span must carry the same
 // task count it was solved with (the window + no-dirty-edge check already
-// implies the same task set).
+// implies the same task set). degraded is the solve's report, carried
+// with the span while it is reused.
 type spanEntry struct {
-	tasks int
-	sol   *model.Solution
+	tasks    int
+	sol      *model.Solution
+	degraded bool
 }
 
 // Session is a single incrementally maintained instance. All methods are
@@ -269,6 +276,7 @@ func (s *Session) applyFull(ctx context.Context, d Delta, in *model.Instance, pl
 	return &Result{
 		Solution: s.sol, Weight: s.weight, Tasks: len(s.tasks),
 		Shards: plan.Len(), Resolved: resolved, Full: true, DirtyEdges: dirtyEdges,
+		Degraded: r.Report.Degraded,
 	}, nil
 }
 
@@ -309,7 +317,7 @@ func (s *Session) applyIncremental(ctx context.Context, d Delta, in *model.Insta
 		if err != nil {
 			return nil, err
 		}
-		return &spanEntry{tasks: sp.Tasks, sol: sp.Lift(r.Solution)}, nil
+		return &spanEntry{tasks: sp.Tasks, sol: sp.Lift(r.Solution), degraded: r.Report.Degraded}, nil
 	})
 	for k, out := range outs {
 		sp := plan.Span(dirty[k])
@@ -329,10 +337,12 @@ func (s *Session) applyIncremental(ctx context.Context, d Delta, in *model.Insta
 
 	cache := make(map[spanKey]*spanEntry, nsp)
 	total := 0
+	degraded := false
 	for i := 0; i < nsp; i++ {
 		sp := plan.Span(i)
 		cache[spanKey{sp.Lo, sp.Hi}] = entries[i]
 		total += entries[i].sol.Len()
+		degraded = degraded || entries[i].degraded
 	}
 	sol := &model.Solution{Items: make([]model.Placement, 0, total)}
 	for i := 0; i < nsp; i++ {
@@ -350,6 +360,7 @@ func (s *Session) applyIncremental(ctx context.Context, d Delta, in *model.Insta
 	return &Result{
 		Solution: s.sol, Weight: s.weight, Tasks: len(s.tasks),
 		Shards: nsp, Resolved: len(dirty), Reused: nsp - len(dirty), DirtyEdges: dirtyEdges,
+		Degraded: degraded,
 	}, nil
 }
 

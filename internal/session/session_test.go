@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"sapalloc/internal/core"
+	"sapalloc/internal/exact"
 	"sapalloc/internal/faultinject"
 	"sapalloc/internal/gen"
 	"sapalloc/internal/model"
@@ -340,5 +341,56 @@ func TestSessionRandomChurn(t *testing.T) {
 		if !sameItems(res.Solution, coldSolve(t, pool.Capacity, sess.Tasks())) {
 			t.Fatalf("step %d: allocation differs from cold solve", step)
 		}
+	}
+}
+
+// degradingPair is two islands split by a zero-load gap: island A (edges
+// 0–3) holds medium tasks whose exact class searches cannot finish under
+// a one-node budget, island B (edges 6–7) one small task that needs none.
+func degradingPair() *model.Instance {
+	in := &model.Instance{Capacity: []int64{64, 64, 64, 64, 64, 64, 64, 64}}
+	for i := 0; i < 6; i++ {
+		in.Tasks = append(in.Tasks, model.Task{ID: i, Start: i % 2, End: 3 + i%2, Demand: 20 + 2*int64(i), Weight: 10 + int64(i%4)})
+	}
+	in.Tasks = append(in.Tasks, model.Task{ID: 10, Start: 6, End: 8, Demand: 1, Weight: 3})
+	return in
+}
+
+// TestSessionDegraded: the session reports Degraded while any span of its
+// allocation came from a degraded solve, including a span a delta reuses,
+// and stops once that span is gone.
+func TestSessionDegraded(t *testing.T) {
+	in := degradingPair()
+	params := core.Params{Exact: exact.Options{MaxNodes: 1}}
+	sess, err := New(in.Capacity, Options{Params: params})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	res, err := sess.Apply(ctx, Delta{Add: in.Tasks})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := core.SolveCtx(ctx, in, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Degraded || !cold.Report.Degraded {
+		t.Fatalf("create: session degraded %v, cold solve degraded %v; want both", res.Degraded, cold.Report.Degraded)
+	}
+	// Island B re-solves cleanly; island A's degraded span is reused.
+	res, err = sess.Apply(ctx, Delta{Add: []model.Task{{ID: 11, Start: 7, End: 8, Demand: 1, Weight: 2}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Full || res.Reused == 0 || !res.Degraded {
+		t.Fatalf("delta reusing the degraded span: %+v; want it reused and still degraded", res)
+	}
+	res, err = sess.Apply(ctx, Delta{Remove: []int{0, 1, 2, 3, 4, 5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Degraded {
+		t.Fatalf("delta removing the degraded span: %+v; want not degraded", res)
 	}
 }

@@ -15,9 +15,8 @@ package smallsap
 import (
 	"context"
 	"fmt"
-	"math"
-	"math/bits"
 
+	"sapalloc/internal/classes"
 	"sapalloc/internal/dsa"
 	"sapalloc/internal/faultinject"
 	"sapalloc/internal/model"
@@ -110,42 +109,10 @@ func SolveCtx(ctx context.Context, in *model.Instance, p Params) (*Result, error
 	}
 	ctx, a, owned := scratch.Attach(ctx)
 	defer scratch.Put(owned)
-	// Class t − tLo holds classTasks[first[t−tLo]:first[t−tLo+1]], in task
-	// order.
-	cls := a.Ints(len(in.Tasks))
-	bot := in.BottleneckLookup()
-	tLo, tHi := math.MaxInt, math.MinInt
-	for i, t := range in.Tasks {
-		cls[i] = floorLog2(bot.Of(t))
-		tLo, tHi = min(tLo, cls[i]), max(tHi, cls[i])
-	}
-	first := a.IntsZero(tHi - tLo + 2)
-	for _, c := range cls {
-		first[c-tLo+1]++
-	}
-	nt := 0
-	for _, size := range first {
-		if size > 0 {
-			nt++
-		}
-	}
-	ts := a.Ints(nt)[:0]
-	for c := 1; c < len(first); c++ {
-		if first[c] > 0 {
-			ts = append(ts, tLo+c-1)
-		}
-		first[c] += first[c-1]
-	}
-	classTasks := a.Tasks(len(in.Tasks))
-	fill := a.Ints(len(first))
-	copy(fill, first)
-	for i, t := range in.Tasks {
-		classTasks[fill[cls[i]-tLo]] = t
-		fill[cls[i]-tLo]++
-	}
-	// A class's strip takes at most one placement per task, so class t
+	plan := classes.New(a, in, 1)
+	// A class's strip takes at most one placement per task, so class i
 	// gets the placement range of its tasks.
-	classItems := a.Placements(len(in.Tasks))
+	classItems := a.Placements(plan.Size())
 	// Classes that completed before a cancellation survive into the merge.
 	// Class workers only read the class lists and write their own
 	// placement ranges of them.
@@ -154,16 +121,16 @@ func SolveCtx(ctx context.Context, in *model.Instance, p Params) (*Result, error
 		items  []model.Placement
 		skip   bool
 	}
-	outs := par.Run(ctx, len(ts), p.Workers, func(ctx context.Context, i int) (classOut, error) {
-		t := ts[i]
+	outs := par.Run(ctx, plan.Len(), p.Workers, func(ctx context.Context, i int) (classOut, error) {
+		t := plan.K(i)
 		if t < 1 {
 			return classOut{skip: true}, nil // strip height 2^{t-1} < 1: nothing fits
 		}
-		lo, hi := first[t-tLo], first[t-tLo+1]
+		lo, hi := plan.Range(i)
 		ctx, endClass := obs.StartSpanTrack(ctx, "smallsap/class")
 		defer endClass()
 		faultinject.Fire(ctx, "smallsap/class")
-		report, items, err := solveClass(ctx, in.Capacity, classTasks[lo:hi], t, p, classItems[lo:lo:hi])
+		report, items, err := solveClass(ctx, in.Capacity, plan.Tasks(i), t, p, classItems[lo:lo:hi])
 		return classOut{report: report, items: items}, err
 	})
 	attempted, completed, placed := 0, 0, 0
@@ -179,7 +146,7 @@ func SolveCtx(ctx context.Context, in *model.Instance, p Params) (*Result, error
 			continue
 		case out.Err != nil:
 			res.Degraded = true
-			res.ClassErrs = append(res.ClassErrs, fmt.Errorf("smallsap: class t=%d: %w", ts[i], out.Err))
+			res.ClassErrs = append(res.ClassErrs, fmt.Errorf("smallsap: class t=%d: %w", plan.K(i), out.Err))
 			continue
 		}
 		completed++
@@ -210,10 +177,7 @@ func solveClass(ctx context.Context, capacity []int64, tasks []model.Task, t int
 	a, owned := scratch.Acquire(ctx)
 	defer scratch.Put(owned)
 	b := int64(1) << uint(t)
-	classIn := model.Instance{Capacity: a.Int64s(len(capacity)), Tasks: tasks}
-	for e, c := range capacity {
-		classIn.Capacity[e] = min(c, 2*b)
-	}
+	classIn := model.Instance{Capacity: classes.Clip(a, capacity, t, 1), Tasks: tasks}
 	report := ClassReport{T: t, Tasks: len(tasks)}
 
 	var sel []model.Task
@@ -241,12 +205,4 @@ func solveClass(ctx context.Context, capacity []int64, tasks []model.Task, t int
 		items[i].Height += b / 2
 	}
 	return report, items, nil
-}
-
-// floorLog2 returns ⌊log2 v⌋ for v ≥ 1 (-1 for v ≤ 0).
-func floorLog2(v int64) int {
-	if v <= 0 {
-		return -1
-	}
-	return bits.Len64(uint64(v)) - 1
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"sapalloc/internal/classes"
 	"sapalloc/internal/exact"
 	"sapalloc/internal/lp"
 	"sapalloc/internal/model"
@@ -71,7 +72,7 @@ func TestStripBands(t *testing.T) {
 		}
 		for _, pl := range res.Solution.Items {
 			b := in.Bottleneck(pl.Task)
-			cls := floorLog2(b)
+			cls := classes.Log2(b)
 			lo := int64(1) << uint(cls-1)
 			hi := int64(1) << uint(cls)
 			if pl.Height < lo || pl.Top() > hi {

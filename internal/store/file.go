@@ -176,7 +176,6 @@ type File struct {
 	stats        Stats
 	failed       error // sticky after a torn write
 	closed       bool
-	scratchRecs  []replayRec // replay scratch, handed from readBatch to indexBatch
 
 	done chan struct{}
 	wg   sync.WaitGroup
@@ -261,8 +260,10 @@ func (f *File) loadLocked() error {
 func (f *File) replaySegment(si int, fh *os.File, last bool) (int64, error) {
 	r := bufio.NewReaderSize(fh, 1<<20)
 	var off int64
+	var recs []batchRec
 	for {
-		meta, size, err := f.readBatch(r)
+		meta, batch, err := readBatch(r, f.seq, f.head, recs[:0])
+		recs = batch
 		if err == io.EOF {
 			return off, nil
 		}
@@ -292,104 +293,125 @@ func (f *File) replaySegment(si int, fh *os.File, last bool) (int64, error) {
 			obs.StoreTailTruncations.Inc()
 			return off, nil
 		}
-		meta.seg = si
-		meta.off = off
-		f.indexBatch(meta)
-		off += size
+		meta.seg, meta.off = si, off
+		f.commit(meta, recs)
+		off += meta.size
 	}
 }
 
-// readBatch reads and fully verifies one batch at the reader's position,
-// indexing nothing. io.EOF means a clean end at a batch boundary; every
-// other error means the bytes from this batch boundary on are invalid.
-// The returned meta has seg/off unset (the caller knows them), and the
-// record key/offset/length triples are applied by indexBatch via a
-// re-read — instead, records are returned through f.scratchRecs.
-func (f *File) readBatch(r *bufio.Reader) (batchMeta, int64, error) {
-	var meta batchMeta
-	header := make([]byte, batchHeader)
-	if _, err := io.ReadFull(r, header[:1]); err != nil {
-		return meta, 0, io.EOF // clean boundary: not a single byte left
-	}
-	if _, err := io.ReadFull(r, header[1:]); err != nil {
-		return meta, 0, io.ErrUnexpectedEOF
-	}
-	if string(header[:4]) != batchMagic {
-		return meta, 0, saperr.CorruptStore("bad batch magic %q", header[:4])
-	}
-	meta.seq = binary.BigEndian.Uint64(header[4:12])
-	count := binary.BigEndian.Uint32(header[12:16])
-	copy(meta.prev[:], header[16:])
-	if meta.seq != f.seq {
-		return meta, 0, saperr.CorruptStore("batch seq %d, want %d", meta.seq, f.seq)
-	}
-	if count == 0 || count > maxBatchRecords {
-		return meta, 0, saperr.CorruptStore("implausible batch record count %d", count)
-	}
-	if meta.prev != f.head {
-		return meta, 0, saperr.CorruptStore("batch %d chain break: prev %s, want %s", meta.seq, meta.prev, f.head)
-	}
-	meta.count = int(count)
-	size := int64(batchHeader)
-	leaves := make([]Hash, 0, count)
-	f.scratchRecs = f.scratchRecs[:0]
-	for i := 0; i < int(count); i++ {
-		rec, err := ReadRecord(r)
-		if err != nil {
-			if err == io.EOF {
-				err = io.ErrUnexpectedEOF
-			}
-			return meta, 0, err
-		}
-		leaves = append(leaves, rec.Hash)
-		f.scratchRecs = append(f.scratchRecs, replayRec{key: rec.Key, off: size, vlen: uint32(len(rec.Value))})
-		size += int64(EncodedSize(len(rec.Value)))
-	}
-	footer := make([]byte, batchFooter)
-	if _, err := io.ReadFull(r, footer); err != nil {
-		return meta, 0, io.ErrUnexpectedEOF
-	}
-	copy(meta.root[:], footer[:32])
-	copy(meta.head[:], footer[32:])
-	if got := MerkleRoot(leaves); got != meta.root {
-		return meta, 0, saperr.CorruptStore("batch %d merkle root mismatch", meta.seq)
-	}
-	if got := ChainHead(meta.prev, meta.root); got != meta.head {
-		return meta, 0, saperr.CorruptStore("batch %d chain head mismatch", meta.seq)
-	}
-	obs.StoreChainVerifies.Inc()
-	meta.size = size + batchFooter
-	for i := range f.scratchRecs {
-		f.scratchRecs[i].leaf = leaves[i]
-	}
-	return meta, meta.size, nil
-}
-
-// replayRec carries one record's index material from readBatch to
-// indexBatch (offsets relative to the batch start).
-type replayRec struct {
+// batchRec is one record's index material within its batch: its key, its
+// offset from the batch start, its value length and its leaf hash.
+type batchRec struct {
 	key  Key
 	off  int64
 	vlen uint32
 	leaf Hash
 }
 
-// scratchRecs is reused across readBatch calls; guarded by the same
-// exclusive access as the rest of replay.
+// encodeBatch encodes the records as batch seq chained onto prev, in one
+// buffer so the batch leaves in one write. It returns the buffer, the
+// batch's metadata (seg and off unset) and each record's index material.
+func encodeBatch(seq uint64, prev Hash, pending []pendingRec) ([]byte, batchMeta, []batchRec) {
+	size := batchHeader + batchFooter
+	for _, pr := range pending {
+		size += EncodedSize(len(pr.val))
+	}
+	buf := make([]byte, 0, size)
+	buf = append(buf, batchMagic...)
+	buf = binary.BigEndian.AppendUint64(buf, seq)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(pending)))
+	buf = append(buf, prev[:]...)
+	leaves := make([]Hash, len(pending))
+	recs := make([]batchRec, len(pending))
+	for i, pr := range pending {
+		off := int64(len(buf))
+		buf = AppendRecord(buf, pr.key, pr.val) // ends with the leaf hash
+		leaves[i] = Hash(buf[len(buf)-len(Hash{}):])
+		recs[i] = batchRec{key: pr.key, off: off, vlen: uint32(len(pr.val)), leaf: leaves[i]}
+	}
+	meta := batchMeta{size: int64(size), count: len(pending), seq: seq, prev: prev, root: MerkleRoot(leaves)}
+	meta.head = ChainHead(prev, meta.root)
+	buf = append(buf, meta.root[:]...)
+	buf = append(buf, meta.head[:]...)
+	return buf, meta, recs
+}
 
-// indexBatch commits a verified batch: index entries (latest write wins),
-// chain advance, batch metadata.
-func (f *File) indexBatch(meta batchMeta) {
+// readBatch reads and fully verifies one batch at the reader's position,
+// which must carry sequence number seq and chain onto the head prev. It
+// returns the batch's metadata (seg and off unset) and recs with each
+// record's index material appended. io.EOF means a clean end at a batch
+// boundary; every other error means the bytes from this batch boundary on
+// are invalid.
+func readBatch(r *bufio.Reader, seq uint64, prev Hash, recs []batchRec) (batchMeta, []batchRec, error) {
+	var meta batchMeta
+	header := make([]byte, batchHeader)
+	if _, err := io.ReadFull(r, header[:1]); err != nil {
+		return meta, recs, io.EOF // clean boundary: not a single byte left
+	}
+	if _, err := io.ReadFull(r, header[1:]); err != nil {
+		return meta, recs, io.ErrUnexpectedEOF
+	}
+	if string(header[:4]) != batchMagic {
+		return meta, recs, saperr.CorruptStore("bad batch magic %q", header[:4])
+	}
+	meta.seq = binary.BigEndian.Uint64(header[4:12])
+	count := binary.BigEndian.Uint32(header[12:16])
+	copy(meta.prev[:], header[16:])
+	if meta.seq != seq {
+		return meta, recs, saperr.CorruptStore("batch seq %d, want %d", meta.seq, seq)
+	}
+	if count == 0 || count > maxBatchRecords {
+		return meta, recs, saperr.CorruptStore("implausible batch record count %d", count)
+	}
+	if meta.prev != prev {
+		return meta, recs, saperr.CorruptStore("batch %d chain break: prev %s, want %s", meta.seq, meta.prev, prev)
+	}
+	meta.count = int(count)
+	size := int64(batchHeader)
+	leaves := make([]Hash, 0, count)
+	for i := 0; i < int(count); i++ {
+		rec, err := ReadRecord(r)
+		if err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return meta, recs, err
+		}
+		leaves = append(leaves, rec.Hash)
+		recs = append(recs, batchRec{key: rec.Key, off: size, vlen: uint32(len(rec.Value)), leaf: rec.Hash})
+		size += int64(EncodedSize(len(rec.Value)))
+	}
+	footer := make([]byte, batchFooter)
+	if _, err := io.ReadFull(r, footer); err != nil {
+		return meta, recs, io.ErrUnexpectedEOF
+	}
+	copy(meta.root[:], footer[:32])
+	copy(meta.head[:], footer[32:])
+	if got := MerkleRoot(leaves); got != meta.root {
+		return meta, recs, saperr.CorruptStore("batch %d merkle root mismatch", meta.seq)
+	}
+	if got := ChainHead(meta.prev, meta.root); got != meta.head {
+		return meta, recs, saperr.CorruptStore("batch %d chain head mismatch", meta.seq)
+	}
+	obs.StoreChainVerifies.Inc()
+	meta.size = size + batchFooter
+	return meta, recs, nil
+}
+
+// commit makes a batch, just written or verified by replay, part of the
+// in-memory state: its metadata, its records' index entries (latest write
+// wins) and the chain advance.
+func (f *File) commit(meta batchMeta, recs []batchRec) {
 	bi := len(f.batches)
 	f.batches = append(f.batches, meta)
-	for pos, rr := range f.scratchRecs {
-		if old, ok := f.index[rr.key]; ok {
+	for pos, r := range recs {
+		if old, ok := f.index[r.key]; ok {
 			f.liveBytes -= int64(EncodedSize(int(old.vlen)))
 		}
-		f.index[rr.key] = indexEntry{
-			batch: bi, pos: pos, off: meta.off + rr.off, vlen: rr.vlen, hash: rr.leaf,
+		f.index[r.key] = indexEntry{
+			batch: bi, pos: pos, off: meta.off + r.off, vlen: r.vlen, hash: r.leaf,
 		}
-		f.liveBytes += int64(EncodedSize(int(rr.vlen)))
+		f.liveBytes += int64(EncodedSize(int(r.vlen)))
 	}
 	f.head = meta.head
 	f.seq = meta.seq + 1
@@ -500,28 +522,7 @@ func (f *File) flushLocked() error {
 	}
 	start := time.Now()
 
-	// Assemble the batch in one buffer so it leaves in one Write call.
-	leaves := make([]Hash, len(f.pending))
-	size := batchHeader + batchFooter
-	for i, pr := range f.pending {
-		leaves[i] = RecordHash(pr.key, pr.val)
-		size += EncodedSize(len(pr.val))
-	}
-	root := MerkleRoot(leaves)
-	head := ChainHead(f.head, root)
-	buf := make([]byte, 0, size)
-	buf = append(buf, batchMagic...)
-	buf = binary.BigEndian.AppendUint64(buf, f.seq)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(f.pending)))
-	buf = append(buf, f.head[:]...)
-	recOffs := make([]int64, len(f.pending))
-	for i, pr := range f.pending {
-		recOffs[i] = int64(len(buf))
-		buf = AppendRecord(buf, pr.key, pr.val)
-	}
-	buf = append(buf, root[:]...)
-	buf = append(buf, head[:]...)
-
+	buf, meta, recs := encodeBatch(f.seq, f.head, f.pending)
 	active := f.files[len(f.files)-1]
 	if err := faultinject.FireErr(context.Background(), SiteWriteTorn); err != nil {
 		// Simulated crash mid-write: half the batch reaches the log and
@@ -544,25 +545,8 @@ func (f *File) flushLocked() error {
 		obs.StoreFsyncNs.Record(int64(time.Since(syncStart)))
 	}
 
-	// Commit in memory.
-	meta := batchMeta{
-		seg: len(f.files) - 1, off: f.activeSize, size: int64(len(buf)),
-		count: len(f.pending), seq: f.seq, prev: f.head, root: root, head: head,
-	}
-	bi := len(f.batches)
-	f.batches = append(f.batches, meta)
-	for i, pr := range f.pending {
-		if old, ok := f.index[pr.key]; ok {
-			f.liveBytes -= int64(EncodedSize(int(old.vlen)))
-		}
-		f.index[pr.key] = indexEntry{
-			batch: bi, pos: i, off: meta.off + recOffs[i],
-			vlen: uint32(len(pr.val)), hash: leaves[i],
-		}
-		f.liveBytes += int64(EncodedSize(len(pr.val)))
-	}
-	f.head = head
-	f.seq++
+	meta.seg, meta.off = len(f.files)-1, f.activeSize
+	f.commit(meta, recs)
 	f.activeSize += int64(len(buf))
 	f.pending = f.pending[:0]
 	f.pendingPos = make(map[Key]int)
@@ -682,6 +666,7 @@ func (f *File) Verify() error {
 	}
 	head := Hash{}
 	seq := uint64(1)
+	var recs []batchRec
 	for si, fh := range f.files {
 		if _, err := fh.Seek(0, io.SeekStart); err != nil {
 			return err
@@ -689,12 +674,8 @@ func (f *File) Verify() error {
 		r := bufio.NewReaderSize(fh, 1<<20)
 		var off int64
 		for {
-			// A scratch shadow chain: reuse readBatch by temporarily
-			// swapping the expected head/seq.
-			saveHead, saveSeq := f.head, f.seq
-			f.head, f.seq = head, seq
-			meta, size, err := f.readBatch(r)
-			f.head, f.seq = saveHead, saveSeq
+			meta, batch, err := readBatch(r, seq, head, recs[:0])
+			recs = batch
 			if err == io.EOF {
 				break
 			}
@@ -702,7 +683,7 @@ func (f *File) Verify() error {
 				return fmt.Errorf("store: verify %s offset %d: %w", f.names[si], off, err)
 			}
 			head, seq = meta.head, meta.seq+1
-			off += size
+			off += meta.size
 		}
 	}
 	if head != f.head {
@@ -758,27 +739,11 @@ func (f *File) Compact() error {
 		if len(batch) == 0 {
 			return nil
 		}
-		leaves := make([]Hash, len(batch))
-		for i, pr := range batch {
-			leaves[i] = RecordHash(pr.key, pr.val)
-		}
-		root := MerkleRoot(leaves)
-		newHead := ChainHead(head, root)
-		buf := make([]byte, 0, batchHeader+batchBytes+batchFooter)
-		buf = append(buf, batchMagic...)
-		buf = binary.BigEndian.AppendUint64(buf, seq)
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(batch)))
-		buf = append(buf, head[:]...)
-		for _, pr := range batch {
-			buf = AppendRecord(buf, pr.key, pr.val)
-		}
-		buf = append(buf, root[:]...)
-		buf = append(buf, newHead[:]...)
+		buf, meta, _ := encodeBatch(seq, head, batch)
 		if _, err := out.Write(buf); err != nil {
 			return fmt.Errorf("store: compact write: %w", err)
 		}
-		head = newHead
-		seq++
+		head, seq = meta.head, seq+1
 		batch = batch[:0]
 		batchBytes = 0
 		return nil

@@ -244,31 +244,38 @@ func byDensity(p, q model.Task) int {
 
 // LocalRatioStrip is Algorithm Strip from the paper's appendix: a local
 // ratio algorithm returning a (B/2)-packable UFPP solution for a δ-small
-// instance whose capacities lie in [B, 2B). The implementation unrolls the
-// recursion into a pick phase (repeatedly select the positive-weight task j*
-// with minimum right endpoint and subtract w(j*)·2d_j/B from every
-// intersecting task) and the standard reverse unwind that inserts each j*
-// when the load on its rightmost edge e* stays within B/2.
+// instance whose capacities lie in [B, 2B). It is localRatio with charge
+// unit B and unwind budget B/2.
 func LocalRatioStrip(in *model.Instance, b int64) []model.Task {
-	n := len(in.Tasks)
+	return localRatio(in.Tasks, in.Edges(), b, b/2)
+}
+
+// localRatio is the local-ratio pass shared by Algorithm Strip and the
+// narrow half of UniformBaseline, with the recursion unrolled into a pick
+// phase — repeatedly select the positive-weight task j* with minimum right
+// endpoint (ID tie-break) and charge every intersecting task
+// w(j*)·2d_j/unit — and the standard reverse unwind, which inserts each j*
+// when the load on its rightmost edge e* stays within budget. The result
+// is sorted by ID.
+func localRatio(tasks []model.Task, edges int, unit, budget int64) []model.Task {
+	n := len(tasks)
 	w := make([]float64, n)
 	alive := make([]bool, n)
-	for j, t := range in.Tasks {
+	for j, t := range tasks {
 		w[j] = float64(t.Weight)
 		alive[j] = w[j] > 0
 	}
 	const tol = 1e-12
 	var picks []int
 	for {
-		// j* = alive task with minimum right endpoint (ID tie-break).
 		jstar := -1
-		for j := range in.Tasks {
+		for j := range tasks {
 			if !alive[j] || w[j] <= tol {
 				continue
 			}
 			if jstar == -1 ||
-				in.Tasks[j].End < in.Tasks[jstar].End ||
-				(in.Tasks[j].End == in.Tasks[jstar].End && in.Tasks[j].ID < in.Tasks[jstar].ID) {
+				tasks[j].End < tasks[jstar].End ||
+				(tasks[j].End == tasks[jstar].End && tasks[j].ID < tasks[jstar].ID) {
 				jstar = j
 			}
 		}
@@ -277,12 +284,12 @@ func LocalRatioStrip(in *model.Instance, b int64) []model.Task {
 		}
 		picks = append(picks, jstar)
 		wstar := w[jstar]
-		for j := range in.Tasks {
+		for j := range tasks {
 			if j == jstar || !alive[j] {
 				continue
 			}
-			if in.Tasks[j].Overlaps(in.Tasks[jstar]) {
-				w[j] -= wstar * 2 * float64(in.Tasks[j].Demand) / float64(b)
+			if tasks[j].Overlaps(tasks[jstar]) {
+				w[j] -= wstar * 2 * float64(tasks[j].Demand) / float64(unit)
 				if w[j] <= tol {
 					alive[j] = false
 				}
@@ -290,15 +297,12 @@ func LocalRatioStrip(in *model.Instance, b int64) []model.Task {
 		}
 		alive[jstar] = false
 	}
-	// Unwind: later picks are considered first; insert j* when the load on
-	// its rightmost edge leaves room below B/2.
-	budget := b / 2
-	load := make([]int64, in.Edges())
+	// Unwind: later picks are considered first.
+	load := make([]int64, edges)
 	var chosen []model.Task
 	for i := len(picks) - 1; i >= 0; i-- {
-		t := in.Tasks[picks[i]]
-		estar := t.End - 1
-		if load[estar]+t.Demand <= budget {
+		t := tasks[picks[i]]
+		if load[t.End-1]+t.Demand <= budget {
 			for e := t.Start; e < t.End; e++ {
 				load[e] += t.Demand
 			}
@@ -334,7 +338,7 @@ func UniformBaseline(in *model.Instance) ([]model.Task, error) {
 		}
 	}
 	wideSol := solveWide(wide)
-	narrowSol := localRatioNarrow(in, narrow, c)
+	narrowSol := localRatio(narrow, in.Edges(), c, c)
 	if model.WeightOf(wideSol) >= model.WeightOf(narrowSol) {
 		return wideSol, nil
 	}
@@ -360,67 +364,4 @@ func solveWide(wide []model.Task) []model.Task {
 		out = append(out, wide[i])
 	}
 	return out
-}
-
-// localRatioNarrow runs the narrow-task local ratio pass: select j* with
-// minimum right endpoint, charge w(j*)·2d_j/c to intersecting tasks, recurse
-// on positive tasks, and insert j* on unwind when the load on its rightmost
-// edge stays within c − d_{j*}.
-func localRatioNarrow(in *model.Instance, narrow []model.Task, c int64) []model.Task {
-	n := len(narrow)
-	if n == 0 {
-		return nil
-	}
-	w := make([]float64, n)
-	alive := make([]bool, n)
-	for j, t := range narrow {
-		w[j] = float64(t.Weight)
-		alive[j] = w[j] > 0
-	}
-	const tol = 1e-12
-	var picks []int
-	for {
-		jstar := -1
-		for j := range narrow {
-			if !alive[j] || w[j] <= tol {
-				continue
-			}
-			if jstar == -1 ||
-				narrow[j].End < narrow[jstar].End ||
-				(narrow[j].End == narrow[jstar].End && narrow[j].ID < narrow[jstar].ID) {
-				jstar = j
-			}
-		}
-		if jstar == -1 {
-			break
-		}
-		picks = append(picks, jstar)
-		wstar := w[jstar]
-		for j := range narrow {
-			if j == jstar || !alive[j] {
-				continue
-			}
-			if narrow[j].Overlaps(narrow[jstar]) {
-				w[j] -= wstar * 2 * float64(narrow[j].Demand) / float64(c)
-				if w[j] <= tol {
-					alive[j] = false
-				}
-			}
-		}
-		alive[jstar] = false
-	}
-	load := make([]int64, in.Edges())
-	var chosen []model.Task
-	for i := len(picks) - 1; i >= 0; i-- {
-		t := narrow[picks[i]]
-		estar := t.End - 1
-		if load[estar]+t.Demand <= c {
-			for e := t.Start; e < t.End; e++ {
-				load[e] += t.Demand
-			}
-			chosen = append(chosen, t)
-		}
-	}
-	sort.Slice(chosen, func(i, j int) bool { return chosen[i].ID < chosen[j].ID })
-	return chosen
 }

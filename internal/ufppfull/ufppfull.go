@@ -31,9 +31,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/bits"
 	"sort"
 
+	"sapalloc/internal/classes"
+	"sapalloc/internal/core"
 	"sapalloc/internal/exact"
 	"sapalloc/internal/faultinject"
 	"sapalloc/internal/largesap"
@@ -41,6 +42,7 @@ import (
 	"sapalloc/internal/obs"
 	"sapalloc/internal/par"
 	"sapalloc/internal/saperr"
+	"sapalloc/internal/scratch"
 	"sapalloc/internal/ufpp"
 )
 
@@ -129,7 +131,7 @@ func SolveCtx(ctx context.Context, in *model.Instance, p Params) (res *Result, e
 	if err := saperr.FromContext(ctx); err != nil {
 		return nil, err
 	}
-	small, medium, large := partition(in, p.DeltaDen)
+	small, medium, large := core.Partition(in, p.DeltaDen)
 	res = &Result{}
 
 	// Each arm is contained on its own: a failed or cancelled arm lands in
@@ -140,11 +142,11 @@ func SolveCtx(ctx context.Context, in *model.Instance, p Params) (res *Result, e
 		faultinject.Fire(ctx, armSpanNames[i])
 		switch Arm(i) {
 		case ArmSmall:
-			return solveSmall(ctx, in.Restrict(small), p)
+			return solveSmall(ctx, &model.Instance{Capacity: in.Capacity, Tasks: small}, p)
 		case ArmMedium:
-			return solveMedium(ctx, in.Restrict(medium), p)
+			return solveMedium(ctx, &model.Instance{Capacity: in.Capacity, Tasks: medium}, p)
 		default:
-			sol, err := largesap.SolveCtx(ctx, in.Restrict(large), largesap.Options{})
+			sol, err := largesap.SolveCtx(ctx, &model.Instance{Capacity: in.Capacity, Tasks: large}, largesap.Options{})
 			if err != nil {
 				if sol != nil && (errors.Is(err, largesap.ErrBudget) || saperr.IsCancelled(err)) {
 					return sol.Tasks(), nil // feasible incumbent stands
@@ -190,47 +192,26 @@ func SolveCtx(ctx context.Context, in *model.Instance, p Params) (res *Result, e
 	return res, nil
 }
 
-// partition mirrors core.Partition (k = 2, β = ¼).
-func partition(in *model.Instance, deltaDen int64) (small, medium, large []model.Task) {
-	bot := in.BottleneckLookup()
-	for _, t := range in.Tasks {
-		b := bot.Of(t)
-		switch {
-		case t.Demand*deltaDen <= b:
-			small = append(small, t)
-		case 2*t.Demand <= b:
-			medium = append(medium, t)
-		default:
-			large = append(large, t)
-		}
-	}
-	return small, medium, large
-}
-
 // solveSmall handles δ-small tasks: per bottleneck class J_t a ½B-packable
 // solution; residues mod 2 are combined and the heavier kept. Feasibility
 // of a residue union: class t's load on any of its edges is ≤ 2^{t-1};
 // classes below t in the same residue contribute ≤ Σ_{i≥1} 2^{t-2i-1}
 // < 2^{t-1}, and every edge used by class t has capacity ≥ 2^t.
 func solveSmall(ctx context.Context, in *model.Instance, p Params) ([]model.Task, error) {
-	classes := map[int][]model.Task{}
-	bot := in.BottleneckLookup()
-	for _, t := range in.Tasks {
-		cls := floorLog2(bot.Of(t))
-		classes[cls] = append(classes[cls], t)
+	ctx, a, owned := scratch.Attach(ctx)
+	defer scratch.Put(owned)
+	plan := classes.New(a, in, 1)
+	// Classes below t = 1 have no room in a half-packable strip.
+	first := 0
+	for first < plan.Len() && plan.K(first) < 1 {
+		first++
 	}
-	ts := make([]int, 0, len(classes))
-	for t := range classes {
-		if t >= 1 {
-			ts = append(ts, t)
-		}
-	}
-	sort.Ints(ts)
-	sels := par.Run(ctx, len(ts), p.Workers, func(ctx context.Context, i int) ([]model.Task, error) {
-		t := ts[i]
-		b := int64(1) << uint(t)
-		classIn := in.Restrict(classes[t]).ClipCapacities(2 * b)
-		sel, _, err := ufpp.HalfPackableCtx(ctx, classIn, b, p.Round)
+	sels := par.Run(ctx, plan.Len()-first, p.Workers, func(ctx context.Context, i int) ([]model.Task, error) {
+		a, owned := scratch.Acquire(ctx)
+		defer scratch.Put(owned)
+		t := plan.K(first + i)
+		classIn := &model.Instance{Capacity: classes.Clip(a, in.Capacity, t, 1), Tasks: plan.Tasks(first + i)}
+		sel, _, err := ufpp.HalfPackableCtx(ctx, classIn, 1<<uint(t), p.Round)
 		return sel, err
 	})
 	// The arm fails on the first class error in index order.
@@ -243,9 +224,9 @@ func solveSmall(ctx context.Context, in *model.Instance, p Params) ([]model.Task
 	var bestW int64 = -1
 	for r := 0; r < 2; r++ {
 		var union []model.Task
-		for i, t := range ts {
-			if t%2 == r {
-				union = append(union, sels[i].Val...)
+		for i, sel := range sels {
+			if plan.K(first+i)%2 == r {
+				union = append(union, sel.Val...)
 			}
 		}
 		if w := model.WeightOf(union); w > bestW {
@@ -266,38 +247,19 @@ func solveMedium(ctx context.Context, in *model.Instance, p Params) ([]model.Tas
 	if ell < 1 {
 		ell = 1
 	}
-	classTasks := map[int][]model.Task{}
-	bot := in.BottleneckLookup()
-	for _, t := range in.Tasks {
-		top := floorLog2(bot.Of(t))
-		for k := top - ell + 1; k <= top; k++ {
-			classTasks[k] = append(classTasks[k], t)
-		}
-	}
-	ks := make([]int, 0, len(classTasks))
-	for k := range classTasks {
-		ks = append(ks, k)
-	}
-	sort.Ints(ks)
-	sels := par.Run(ctx, len(ks), p.Workers, func(ctx context.Context, i int) ([]model.Task, error) {
-		k := ks[i]
-		classIn := in.Restrict(classTasks[k])
-		// Halve into a fresh slice: Restrict shares its capacity slice with
-		// the parent instance, so in-place edits would corrupt sibling
-		// classes running concurrently.
-		caps := append([]int64(nil), classIn.Capacity...)
+	ctx, a, owned := scratch.Attach(ctx)
+	defer scratch.Put(owned)
+	plan := classes.New(a, in, ell)
+	sels := par.Run(ctx, plan.Len(), p.Workers, func(ctx context.Context, i int) ([]model.Task, error) {
+		a, owned := scratch.Acquire(ctx)
+		defer scratch.Put(owned)
+		// The clip is a fresh copy, so halving it in place leaves the
+		// instance and the sibling classes alone.
+		caps := classes.Clip(a, in.Capacity, plan.K(i), ell)
 		for e := range caps {
-			if k+ell >= 0 && k+ell < 62 {
-				if hi := int64(1) << uint(k+ell); caps[e] > hi {
-					caps[e] = hi
-				}
-			}
-			caps[e] /= 2
-			if caps[e] < 1 {
-				caps[e] = 1
-			}
+			caps[e] = max(caps[e]/2, 1)
 		}
-		classIn = &model.Instance{Capacity: caps, Tasks: classIn.Tasks}
+		classIn := &model.Instance{Capacity: caps, Tasks: plan.Tasks(i)}
 		sel, err := exact.SolveUFPPCtx(ctx, classIn, p.Exact)
 		if errors.Is(err, exact.ErrBudget) || (saperr.IsCancelled(err) && sel != nil) {
 			err = nil // incumbent is feasible; guarantee degrades gracefully
@@ -319,11 +281,11 @@ func solveMedium(ctx context.Context, in *model.Instance, p Params) ([]model.Tas
 	for r := 0; r < period; r++ {
 		clear(seen)
 		var union []model.Task
-		for i, k := range ks {
-			if ((k-r)%period+period)%period != 0 {
+		for i, sel := range sels {
+			if ((plan.K(i)-r)%period+period)%period != 0 {
 				continue
 			}
-			for _, t := range sels[i].Val {
+			for _, t := range sel.Val {
 				if !seen[t.ID] {
 					seen[t.ID] = true
 					union = append(union, t)
@@ -382,11 +344,4 @@ func repairToFeasible(in *model.Instance, tasks []model.Task) []model.Task {
 		kept = append(kept[:victim], kept[victim+1:]...)
 	}
 	return kept
-}
-
-func floorLog2(v int64) int {
-	if v <= 0 {
-		return -1
-	}
-	return bits.Len64(uint64(v)) - 1
 }

@@ -105,6 +105,25 @@ func TestSolvePureLarge(t *testing.T) {
 	}
 }
 
+// TestPartitionDemandOverflow: with DeltaDen 2^30, a demand of 2^34 times
+// DeltaDen wraps int64 to 0, which a product test reads as δ-small. The
+// task is medium (2^34 > 2^40/2^30 and 2·2^34 ≤ 2^40), as core.Partition
+// classifies it, so the medium arm must win it.
+func TestPartitionDemandOverflow(t *testing.T) {
+	in := &model.Instance{
+		Capacity: []int64{1 << 40},
+		Tasks:    []model.Task{{ID: 0, Start: 0, End: 1, Demand: 1 << 34, Weight: 5}},
+	}
+	res, err := Solve(in, Params{DeltaDen: 1 << 30, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Winner != ArmMedium || res.SmallWeight != 0 || res.MediumWeight != 5 {
+		t.Errorf("winner %v, weights small %d medium %d; want the medium arm to take the task",
+			res.Winner, res.SmallWeight, res.MediumWeight)
+	}
+}
+
 func TestRepairToFeasible(t *testing.T) {
 	in := &model.Instance{
 		Capacity: []int64{5},
