@@ -79,6 +79,7 @@ if [ "$1" = "fuzz" ]; then
     go test -run '^$' -fuzz '^FuzzShardStitch$' -fuzztime "$fuzztime" ./internal/shard/
     go test -run '^$' -fuzz '^FuzzStoreRecord$' -fuzztime "$fuzztime" ./internal/store/
     go test -run '^$' -fuzz '^FuzzCanonicalKey$' -fuzztime "$fuzztime" ./internal/serve/
+    go test -run '^$' -fuzz '^FuzzAnswerBody$' -fuzztime "$fuzztime" ./internal/serve/
     go test -run '^$' -fuzz '^FuzzWindowJSON$' -fuzztime "$fuzztime" ./internal/window/
     go test -run '^$' -fuzz '^FuzzWindowExact$' -fuzztime "$fuzztime" ./internal/window/
     echo "FUZZ SMOKE PASSED"

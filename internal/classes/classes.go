@@ -27,9 +27,16 @@ func Log2(v int64) int {
 // holds its tasks in input order in its own range of one buffer sized by
 // the summed class sizes; a caller that writes one record per class task
 // can give class i the same range of a buffer of Size() records.
+//
+// Classes with the same task list are neighbours in the plan: class k
+// holds the tasks with top in [k, k+span), so class k+1 holds the same
+// tasks exactly when no task has top k and none has top k+span, and two
+// classes further apart hold the same tasks only if every class between
+// them does too. The plan groups such classes into runs.
 type Plan struct {
 	ks    []int
 	first []int // class i is tasks[first[i]:first[i+1]]
+	lead  []int // class i holds the tasks of class lead[i], the first of its run
 	tasks []model.Task
 }
 
@@ -46,9 +53,11 @@ func New(a *scratch.Arena, in *model.Instance, span int) Plan {
 		tops[i] = Log2(bot.Of(t))
 		kLo, kHi = min(kLo, tops[i]-span+1), max(kHi, tops[i])
 	}
-	// next[k−kLo] counts class k, then becomes its write cursor.
-	next := a.IntsZero(kHi - kLo + 1)
+	// next[k−kLo] counts class k, then becomes its write cursor;
+	// nTop[k−kLo] counts the tasks with top k.
+	next, nTop := a.IntsZero(kHi-kLo+1), a.IntsZero(kHi-kLo+1)
 	for _, top := range tops {
+		nTop[top-kLo]++
 		for k := top - span + 1; k <= top; k++ {
 			next[k-kLo]++
 		}
@@ -59,10 +68,19 @@ func New(a *scratch.Arena, in *model.Instance, span int) Plan {
 			nk++
 		}
 	}
-	p := Plan{ks: a.Ints(nk)[:0], first: a.Ints(nk + 1)[:0]}
+	p := Plan{ks: a.Ints(nk)[:0], first: a.Ints(nk + 1)[:0], lead: a.Ints(nk)[:0]}
 	size := 0
 	for c, n := range next {
 		if n > 0 {
+			// Class k = kLo+c repeats class k−1 when neither the tasks
+			// with top k−1 (which only k−1 holds) nor those with top
+			// k−1+span (which only k holds) exist.
+			i := len(p.ks)
+			if i > 0 && p.ks[i-1] == kLo+c-1 && nTop[c-1] == 0 && (c-1+span >= len(nTop) || nTop[c-1+span] == 0) {
+				p.lead = append(p.lead, p.lead[i-1])
+			} else {
+				p.lead = append(p.lead, i)
+			}
 			p.ks = append(p.ks, kLo+c)
 			p.first = append(p.first, size)
 		}
@@ -85,6 +103,10 @@ func (p Plan) Len() int { return len(p.ks) }
 
 // K returns the exponent k of class i.
 func (p Plan) K(i int) int { return p.ks[i] }
+
+// Lead returns the first class of class i's run: the classes from Lead(i)
+// to i hold the same tasks, in the same order.
+func (p Plan) Lead(i int) int { return p.lead[i] }
 
 // Range returns class i's range [lo, hi) of the plan's buffer.
 func (p Plan) Range(i int) (lo, hi int) { return p.first[i], p.first[i+1] }

@@ -80,13 +80,15 @@ func fuzzInstance(data []byte) (*model.Instance, int) {
 
 // FuzzPlan checks the plan against the map bucketing (class exponents in
 // ascending order, tasks in input order, contiguous ranges that cover the
-// buffer) and every class's clip against min(c, 2^{k+span}) inside the
+// buffer), its runs against a direct comparison of every two classes' task
+// lists, and every class's clip against min(c, 2^{k+span}) inside the
 // guard 0 ≤ k+span < 62 and against c outside it.
 func FuzzPlan(f *testing.F) {
 	f.Add([]byte{0, 3, 5, 9, 17, 0, 2, 1, 1, 0, 3, 2, 1, 4})                  // span 1
 	f.Add([]byte{3, 4, 2, 1, 3, 19, 0, 3, 5, 1, 1, 6, 2, 0, 7, 3, 0, 1})      // span 4, negative k
 	f.Add([]byte{5, 3, 0xBB, 0xFF, 0x01, 0, 2, 9, 1, 0, 4, 2, 1, 1, 0, 0, 2}) // 2^61+3, MaxInt64, 1
 	f.Add([]byte{0, 2, 0xBC, 0xBC, 0, 1, 3, 1, 0, 8})                         // 2^62: top 62
+	f.Add([]byte{3, 3, 16, 16, 16, 0, 2, 1, 1, 1, 2, 0, 0, 4})                // span 4, uniform: one run
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in, span := fuzzInstance(data)
 		a := scratch.Get()
@@ -124,6 +126,17 @@ func FuzzPlan(f *testing.F) {
 		}
 		if p.Size() != size {
 			t.Fatalf("Size = %d, classes sum to %d", p.Size(), size)
+		}
+		for i := range ks {
+			if lead := p.Lead(i); lead != i && (i == 0 || lead != p.Lead(i-1)) {
+				t.Fatalf("class k=%d: lead %d is neither itself nor the lead of its left neighbour", ks[i], lead)
+			}
+			for j := range ks {
+				same := slices.Equal(want[ks[i]], want[ks[j]])
+				if (p.Lead(i) == p.Lead(j)) != same {
+					t.Fatalf("span %d: classes k=%d and k=%d: leads %d and %d, equal task lists %v", span, ks[i], ks[j], p.Lead(i), p.Lead(j), same)
+				}
+			}
 		}
 	})
 }

@@ -140,53 +140,92 @@ func SolveCtx(ctx context.Context, in *model.Instance, p Params) (*Result, error
 	defer scratch.Put(owned)
 
 	// Every task joins its ℓ classes: k with 2^k ≤ b(j) < 2^{k+ℓ}. k may be
-	// negative when b < 2^{ℓ−1}; lambda and the clip in elevate handle that.
+	// negative when b < 2^{ℓ−1}; lambda and the clip in search handle that.
 	plan := classes.New(a, in, ell)
-	// A class's elevated solution takes at most one placement per task,
-	// so class i gets the placement range of its tasks.
-	classItems := a.Placements(plan.Size())
-
-	// Per class: elevated 2-approximate solutions, solved concurrently —
-	// the classes are independent sub-instances. Classes that completed
-	// before a cancellation survive into the stack. Class workers only read
-	// the class lists and write their own placement ranges of them.
-	type classOut struct {
-		items    []model.Placement
-		degraded bool
+	// Classes with the same tasks are the same search whatever their k:
+	// class k holds only tasks with b(j) < 2^{k+ℓ}, so its clip leaves every
+	// task's ceiling at b(j), and the exact search reads capacity only
+	// through those ceilings. One search per run of identical classes
+	// (classes.Plan groups them) answers the whole run.
+	//
+	// Run r is the classes leaders[r] … leaders[r+1]−1.
+	leaders := a.Ints(plan.Len() + 1)[:0]
+	for i := range plan.Len() {
+		if plan.Lead(i) == i {
+			leaders = append(leaders, i)
+		}
 	}
-	outs := par.Run(ctx, plan.Len(), p.Workers, func(ctx context.Context, i int) (classOut, error) {
-		lo, hi := plan.Range(i)
+	leaders = append(leaders, plan.Len())
+	// A run's search writes its optimum into its leader's range of raw;
+	// every class of the run then writes its elevated half, at most one
+	// placement per task, into its own range of classItems, and the half's
+	// length into classLen.
+	raw := a.Placements(plan.Size())
+	classItems := a.Placements(plan.Size())
+	classLen := a.IntsZero(plan.Len())
+	items := func(i int) []model.Placement {
+		lo, _ := plan.Range(i)
+		return classItems[lo : lo+classLen[i]]
+	}
+
+	// Per run: one search, then the elevated 2-approximate solutions of its
+	// classes. Runs are independent sub-instances and are solved
+	// concurrently; runs that completed before a cancellation survive into
+	// the stack. Workers only read the class lists and write their runs'
+	// ranges.
+	outs := par.Run(ctx, len(leaders)-1, p.Workers, func(ctx context.Context, r int) (degraded bool, err error) {
+		lead, end := leaders[r], leaders[r+1]
+		lo, hi := plan.Range(lead)
 		ctx, endClass := obs.StartSpanTrack(ctx, "mediumsap/class")
 		defer endClass()
 		faultinject.Fire(ctx, "mediumsap/class")
-		items, degraded, err := elevate(ctx, in.Capacity, plan.Tasks(i), plan.K(i), ell, p, classItems[lo:lo:hi])
-		return classOut{items: items, degraded: degraded}, err
+		opt, degraded, err := search(ctx, in.Capacity, plan.Tasks(lead), plan.K(lead), ell, p, raw[lo:lo:hi])
+		if err != nil {
+			return false, err
+		}
+		obs.MediumClassesShared.Add(int64(end - lead - 1))
+		if degraded {
+			obs.ExactFallbacks.Add(int64(end - lead))
+		}
+		// Each class lifts its own half by its own ⌈β·2^k⌉, so the raw
+		// optimum stays as the search left it until the last class of the
+		// run has taken its half.
+		for i := lead; i < end; i++ {
+			lo, hi := plan.Range(i)
+			classLen[i] = len(heavierHalf(opt, plan.K(i), p, classItems[lo:lo:hi]))
+		}
+		return degraded, nil
 	})
 
 	// Residue classes K(r) = K ∩ { r + i(ℓ+q) }. Classes of one residue
 	// are ℓ+q apart and so share no task: a residue's stack weighs the sum
-	// of its class weights, and only the heaviest residue is built.
+	// of its class weights, and only the heaviest residue is built. Every
+	// class takes its run's outcome.
 	period := ell + q
 	residueWeight := a.Int64sZero(period)
 	completed := 0
-	for i, out := range outs {
-		k := plan.K(i)
-		switch {
-		case !out.Ran:
-			res.Degraded = true
-			res.ClassErrs = append(res.ClassErrs, out.Err)
-		case out.Err != nil:
-			res.Degraded = true
-			res.ClassErrs = append(res.ClassErrs, fmt.Errorf("mediumsap: class k=%d: %w", k, out.Err))
-		default:
-			completed++
-			if out.Val.degraded {
+	for r, out := range outs {
+		for i := leaders[r]; i < leaders[r+1]; i++ {
+			k := plan.K(i)
+			switch {
+			case !out.Ran:
 				res.Degraded = true
+				res.ClassErrs = append(res.ClassErrs, out.Err)
+				classLen[i] = 0
+			case out.Err != nil:
+				res.Degraded = true
+				res.ClassErrs = append(res.ClassErrs, fmt.Errorf("mediumsap: class k=%d: %w", k, out.Err))
+				classLen[i] = 0
+			default:
+				completed++
+				if out.Val {
+					res.Degraded = true
+				}
 			}
+			w := (&model.Solution{Items: items(i)}).Weight()
+			res.Classes[k] = w
+			residueWeight[residue(k, period)] += w
 		}
-		w := (&model.Solution{Items: out.Val.items}).Weight()
-		res.Classes[k] = w
-		residueWeight[residue(k, period)] += w
 	}
 	if completed == 0 {
 		return nil, fmt.Errorf("mediumsap: no class completed: %w", res.ClassErrs[0])
@@ -197,18 +236,18 @@ func SolveCtx(ctx context.Context, in *model.Instance, p Params) (*Result, error
 		}
 	}
 	placed := 0
-	for i, out := range outs {
+	for i := range plan.Len() {
 		if residue(plan.K(i), period) == res.Residue {
-			placed += len(out.Val.items)
+			placed += classLen[i]
 		}
 	}
 	best := &model.Solution{}
 	if placed > 0 {
 		best.Items = make([]model.Placement, 0, placed)
 	}
-	for i, out := range outs {
+	for i := range plan.Len() {
 		if residue(plan.K(i), period) == res.Residue {
-			best.Items = append(best.Items, out.Val.items...)
+			best.Items = append(best.Items, items(i)...)
 		}
 	}
 	res.Solution = best.SortByID()
@@ -238,20 +277,28 @@ func Elevator(in *model.Instance, tasks []model.Task, k, ell int, p Params) (*mo
 // incumbent is seeded with a greedy packing, so a cancelled class still
 // contributes a solution.
 func ElevatorCtx(ctx context.Context, in *model.Instance, tasks []model.Task, k, ell int, p Params) (sol *model.Solution, degraded bool, err error) {
-	items, degraded, err := elevate(ctx, in.Capacity, tasks, k, ell, p.withDefaults(), nil)
+	p = p.withDefaults()
+	opt, degraded, err := search(ctx, in.Capacity, tasks, k, ell, p, nil)
 	if err != nil {
 		return nil, false, err
 	}
+	if degraded {
+		obs.ExactFallbacks.Inc()
+	}
+	items := heavierHalf(opt, k, p, opt[:0])
 	if len(items) == 0 {
 		items = nil // an empty solution has nil Items, like every other solver's
 	}
 	return &model.Solution{Items: items}, degraded, nil
 }
 
-// elevate is ElevatorCtx on the capacity profile of the whole instance. It
-// appends the elevated class solution to dst, in task order, and returns
-// the extended slice; the class sub-instance lives in the context's arena.
-func elevate(ctx context.Context, capacity []int64, tasks []model.Task, k, ell int, p Params, dst []model.Placement) (items []model.Placement, degraded bool, err error) {
+// search solves the class exactly (Lemma 13) on the capacity profile of
+// the whole instance clipped to min(c_e, 2^{k+ℓ}) (Observation 7), appends
+// the optimum to dst in task order and returns the appended placements.
+// degraded reports that they are a truncated search's incumbent, or the
+// optimum of only the class's exact.MaxTasks heaviest tasks. The class
+// sub-instance lives in the context's arena.
+func search(ctx context.Context, capacity []int64, tasks []model.Task, k, ell int, p Params, dst []model.Placement) (opt []model.Placement, degraded bool, err error) {
 	a, owned := scratch.Acquire(ctx)
 	defer scratch.Put(owned)
 	// The exact search takes at most MaxTasks tasks, so a larger class is
@@ -263,7 +310,7 @@ func elevate(ctx context.Context, capacity []int64, tasks []model.Task, k, ell i
 	}
 	classIn := model.Instance{Capacity: classes.Clip(a, capacity, k, ell), Tasks: tasks}
 	exactCtx, endExact := obs.StartSpan(ctx, "mediumsap/exact")
-	opt, err := exact.AppendSAPCtx(exactCtx, dst, &classIn, p.Exact)
+	opt, err = exact.AppendSAPCtx(exactCtx, dst, &classIn, p.Exact)
 	endExact()
 	if errors.Is(err, exact.ErrBudget) || saperr.IsCancelled(err) {
 		// The class was too large to prove optimality within the node
@@ -280,14 +327,18 @@ func elevate(ctx context.Context, capacity []int64, tasks []model.Task, k, ell i
 	if err != nil {
 		return nil, false, err
 	}
-	if degraded {
-		obs.ExactFallbacks.Inc()
-	}
-	// Lemma 14's halves, as in ElevatePartition; the heavier (the lifted
-	// one on ties) is chosen by weight and then compacted in place.
+	return opt[len(dst):], degraded, nil
+}
+
+// heavierHalf appends to dst the heavier of Lemma 14's two β-elevated
+// halves of the class optimum opt, as in ElevatePartition (the lifted half
+// on ties, lifted by ⌈β·2^k⌉), in opt's order. opt is only read, so the
+// classes of a run can each take their half of one optimum; dst may also
+// be opt[:0], which compacts the half in place.
+func heavierHalf(opt []model.Placement, k int, p Params, dst []model.Placement) []model.Placement {
 	num, den := lambda(k, p.BetaNum, p.BetaDen)
 	var liftedW, keptW int64
-	for _, pl := range opt[len(dst):] {
+	for _, pl := range opt {
 		if lifts(pl, num, den) {
 			liftedW += pl.Task.Weight
 		} else {
@@ -296,16 +347,15 @@ func elevate(ctx context.Context, capacity []int64, tasks []model.Task, k, ell i
 	}
 	lift := liftedW >= keptW
 	ceilLam := (num + den - 1) / den
-	items = opt[:len(dst)]
-	for _, pl := range opt[len(dst):] {
+	for _, pl := range opt {
 		if lifts(pl, num, den) == lift {
 			if lift {
 				pl.Height += ceilLam
 			}
-			items = append(items, pl)
+			dst = append(dst, pl)
 		}
 	}
-	return items, degraded, nil
+	return dst
 }
 
 // heaviest returns the k heaviest of the tasks (ties to the lower ID) in

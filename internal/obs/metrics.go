@@ -198,6 +198,11 @@ var (
 	ExactFallbacks = NewCounter("medium_exact_fallbacks") // medium classes degraded to incumbents
 	OracleChecks   = NewCounter("oracle_checks")          // oracle feasibility verifications
 
+	// MediumClassesShared counts the medium classes answered by the exact
+	// search of an identical class of the same solve; ExactFallbacks still
+	// counts every degraded class, shared or not.
+	MediumClassesShared = NewCounter("medium_classes_shared")
+
 	// Quality: 1000·(achieved weight)/(LP upper bound), recorded once per
 	// strip-pack class of the small arm (the class's UFPP weight vs its LP
 	// optimum). No per-solve ratio is recorded.

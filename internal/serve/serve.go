@@ -8,8 +8,8 @@
 //
 //  1. A canonicalization cache (internal/sapcache): the canonical key of
 //     the decoded instance — sorted task normal form + capacity profile —
-//     is looked up in a doubly-bounded LRU, and a hit is answered with the
-//     stored response bytes without re-entering the solver. SAP workloads
+//     is looked up in a doubly-bounded LRU, and a hit is answered from the
+//     stored answer without re-entering the solver. SAP workloads
 //     are exactly the repeated-instance shape this exploits (the same
 //     capacity profile solved under many task mixes), and reuse is sound
 //     because responses carry certified approximation ratios.
@@ -23,7 +23,9 @@
 // Cached responses are byte-identical to fresh ones: the server solves the
 // canonical form of every instance, so response bytes depend only on the
 // instance (not on task order or on which request populated the cache),
-// and internal/difftest pins this.
+// and internal/difftest pins this. The cache and the store hold each
+// answer packed (answer.go), and one renderer writes every /v1/solve body
+// from it, fresh or cached.
 package serve
 
 import (
@@ -42,8 +44,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"encoding/binary"
 
 	"sapalloc/internal/core"
 	"sapalloc/internal/faultinject"
@@ -227,19 +227,21 @@ var (
 const statusClientClosedRequest = 499
 
 // cachedResponse is the unit the cache and the singleflight group carry:
-// the exact response bytes plus the accounting the handler needs.
+// the packed answer (see answer.go) plus the accounting the handler needs.
 type cachedResponse struct {
-	body      []byte
+	rec       []byte
 	tasks     int  // instance task count = cache cost
 	degraded  bool // degraded solves are returned but never cached or persisted
-	fromHit   bool // singleflight body came from a cache re-check
+	fromHit   bool // singleflight answer came from a cache re-check
 	fromStore bool // ...and that re-check was answered by the durable store
 }
 
 // encodeStored/decodeStored are the Backed codec for cachedResponse: the
-// durable bytes are a 4-byte big-endian task count followed by the exact
-// response body, so a store hit rebuilds a response byte-identical to the
-// one originally rendered. Degraded responses refuse to encode — the
+// durable bytes are the packed answer, so a store hit renders a response
+// byte-identical to the one the solve rendered. A value that is not a
+// packed answer, such as one in the older format that held the JSON body,
+// fails to decode and so reads as a miss: the solve re-runs and its Put
+// replaces the value. Degraded responses refuse to encode — the
 // degraded-never-persisted rule, enforced at the persistence boundary as
 // well as at the Add call sites.
 func encodeStored(v any) ([]byte, bool) {
@@ -247,18 +249,16 @@ func encodeStored(v any) ([]byte, bool) {
 	if resp.degraded {
 		return nil, false
 	}
-	out := make([]byte, 4, 4+len(resp.body))
-	binary.BigEndian.PutUint32(out, uint32(resp.tasks))
-	return append(out, resp.body...), true
+	return resp.rec, true
 }
 
 func decodeStored(b []byte) (any, int64, error) {
-	if len(b) < 4 {
-		return nil, 0, fmt.Errorf("stored response too short: %d bytes", len(b))
+	h, err := readAnswer(b)
+	if err != nil {
+		return nil, 0, err
 	}
-	// Store.Get already returns a copy, so the body can alias it.
-	tasks := int(binary.BigEndian.Uint32(b))
-	return &cachedResponse{body: b[4:], tasks: tasks}, int64(tasks), nil
+	// Store.Get already returns a copy, so the record can alias it.
+	return &cachedResponse{rec: b, tasks: int(h.tasks), degraded: h.degraded}, h.tasks, nil
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -306,7 +306,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	if v, src := s.cache.Get(key); src != sapcache.SourceMiss {
 		obs.ServeCacheHits.Inc()
 		s.setProvenance(w, key)
-		writeSolveResponse(w, v.(*cachedResponse).body, cacheSourceLabel(src))
+		writeSolveResponse(w, v.(*cachedResponse).rec, cacheSourceLabel(src))
 		return
 	}
 
@@ -317,7 +317,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	v, err, shared := s.flight.Do(key, func() (any, error) {
 		if ent, src := s.cache.Get(key); src != sapcache.SourceMiss {
 			resp := ent.(*cachedResponse)
-			return &cachedResponse{body: resp.body, tasks: resp.tasks,
+			return &cachedResponse{rec: resp.rec, tasks: resp.tasks,
 				fromHit: true, fromStore: src == sapcache.SourceStore}, nil
 		}
 		release, err := s.admit(r.Context(), timeout)
@@ -356,7 +356,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		obs.ServeCacheMiss.Inc()
 	}
 	s.setProvenance(w, key)
-	writeSolveResponse(w, resp.body, source)
+	writeSolveResponse(w, resp.rec, source)
 }
 
 // maxBodyHint caps the buffer readBody sizes from Content-Length before
@@ -365,18 +365,18 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 // grows the buffer as it is read.
 const maxBodyHint = 1 << 20
 
-// requestBody is a request body read into a buffer from bodyPool. The
-// handler that read it calls release once the body is decoded; nothing
-// decoded from the body may refer into the buffer, because the next
-// request reads into it.
-type requestBody struct{ b []byte }
+// bodyBuf is a buffer from bodyPool that holds a request body or a
+// rendered response body. Whoever took it calls release once the body is
+// decoded or written; nothing may refer into the buffer after that,
+// because the next request reads or renders into it.
+type bodyBuf struct{ b []byte }
 
 // bodyPool recycles body buffers of at most maxBodyHint+1 bytes, the most
 // readBody sizes a buffer from Content-Length; a buffer grown past that
 // by a larger body is left to the collector.
-var bodyPool = sync.Pool{New: func() any { return new(requestBody) }}
+var bodyPool = sync.Pool{New: func() any { return new(bodyBuf) }}
 
-func (rb *requestBody) release() {
+func (rb *bodyBuf) release() {
 	if cap(rb.b) > maxBodyHint+1 {
 		return
 	}
@@ -397,14 +397,14 @@ func (rb *requestBody) release() {
 // maxBodyHint bytes costs no allocation once the pool holds a buffer its
 // size. On failure readBody writes the 413 or 400 response and returns
 // false.
-func (s *Server) readBody(w http.ResponseWriter, r *http.Request) (*requestBody, bool) {
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request) (*bodyBuf, bool) {
 	size := int64(bytes.MinRead)
 	if r.ContentLength >= 0 {
 		// One byte past the body leaves room for the read that returns
 		// io.EOF.
 		size = min(r.ContentLength, maxBodyHint, s.cfg.MaxBodyBytes) + 1
 	}
-	rb := bodyPool.Get().(*requestBody)
+	rb := bodyPool.Get().(*bodyBuf)
 	b := rb.b[:0]
 	if int64(cap(b)) < size {
 		b = make([]byte, 0, size)
@@ -550,19 +550,14 @@ func (s *Server) solvePath(in *model.Instance, timeout time.Duration) (*cachedRe
 	if err := model.ValidSAP(in, res.Solution); err != nil {
 		return nil, fmt.Errorf("%w: solver produced infeasible solution: %v", saperr.ErrInternal, err)
 	}
-	doc := solveResponseDoc{
-		Kind:      "path",
-		Weight:    res.Solution.Weight(),
-		Winner:    res.Winner.String(),
-		Scheduled: res.Solution.Len(),
-		Tasks:     len(in.Tasks),
-		Degraded:  res.Report != nil && res.Report.Degraded,
-		Items:     pathItems(res.Solution.Items),
-	}
+	shards := 0
 	if res.Shards != nil {
-		doc.Shards = res.Shards.Shards
+		shards = res.Shards.Shards
 	}
-	return renderResponse(doc, len(in.Tasks))
+	degraded := res.Report != nil && res.Report.Degraded
+	return packResponse(len(in.Tasks), degraded, func(dst []byte) ([]byte, error) {
+		return appendPathAnswer(dst, res.Winner.String(), degraded, len(in.Tasks), shards, res.Solution.Items)
+	})
 }
 
 // solveRing is solvePath for ring instances.
@@ -579,27 +574,28 @@ func (s *Server) solveRing(ring *model.RingInstance, timeout time.Duration) (*ca
 	if err := model.ValidRingSAP(ring, res.Solution); err != nil {
 		return nil, fmt.Errorf("%w: solver produced infeasible ring solution: %v", saperr.ErrInternal, err)
 	}
-	doc := solveResponseDoc{
-		Kind:      "ring",
-		Weight:    res.Solution.Weight(),
-		Winner:    res.Winner.String(),
-		Scheduled: len(res.Solution.Items),
-		Tasks:     len(ring.Tasks),
-		Degraded:  res.Degraded,
-		Items:     make([]solveItemDoc, 0, len(res.Solution.Items)),
-	}
-	for _, pl := range res.Solution.Items {
-		doc.Items = append(doc.Items, solveItemDoc{
-			TaskID: pl.Task.ID, Height: pl.Height, Orientation: pl.Orientation.String(),
-		})
-	}
-	slices.SortFunc(doc.Items, byTaskID)
-	return renderResponse(doc, len(ring.Tasks))
+	return packResponse(len(ring.Tasks), res.Degraded, func(dst []byte) ([]byte, error) {
+		return appendRingAnswer(dst, res.Winner.String(), res.Degraded, len(ring.Tasks), res.Solution.Items)
+	})
 }
 
-// solveResponseDoc is the response wire format. The solution items reuse
-// the (task_id, height) shape of model.Solution.WriteJSON, extended with
-// the orientation for ring placements.
+// packResponse packs a fresh answer with pack in a pooled buffer and keeps
+// a copy of just its length, which the cache and the store hold.
+func packResponse(tasks int, degraded bool, pack func([]byte) ([]byte, error)) (*cachedResponse, error) {
+	buf := bodyPool.Get().(*bodyBuf)
+	defer buf.release()
+	rec, err := pack(buf.b[:0])
+	if err != nil {
+		return nil, err
+	}
+	buf.b = rec
+	return &cachedResponse{rec: bytes.Clone(rec), tasks: tasks, degraded: degraded}, nil
+}
+
+// solveResponseDoc is the response wire format: appendBody writes exactly
+// its json.Marshal from a packed answer. The solution items reuse the
+// (task_id, height) shape of model.Solution.WriteJSON, extended with the
+// orientation for ring placements.
 type solveResponseDoc struct {
 	Kind      string `json:"kind"`
 	Weight    int64  `json:"weight"`
@@ -634,21 +630,6 @@ func pathItems(pls []model.Placement) []solveItemDoc {
 	}
 	slices.SortFunc(items, byTaskID)
 	return items
-}
-
-// renderResponse marshals the document once; the bytes are what the cache
-// stores and every response writes, so hits are byte-identical by
-// construction.
-func renderResponse(doc solveResponseDoc, tasks int) (*cachedResponse, error) {
-	if doc.Items == nil {
-		doc.Items = []solveItemDoc{} // render as [], not null
-	}
-	body, err := json.Marshal(doc)
-	if err != nil {
-		return nil, fmt.Errorf("%w: render response: %v", saperr.ErrInternal, err)
-	}
-	body = append(body, '\n')
-	return &cachedResponse{body: body, tasks: tasks, degraded: doc.Degraded}, nil
 }
 
 // provenanceHeader carries the stored solution's position in the durable
@@ -724,7 +705,22 @@ func (s *Server) refuse(w http.ResponseWriter, status int, format string, args .
 	httpError(w, status, format, args...)
 }
 
-func writeSolveResponse(w http.ResponseWriter, body []byte, source string) {
+// writeSolveResponse renders the packed answer into a pooled buffer and
+// writes it.
+func writeSolveResponse(w http.ResponseWriter, rec []byte, source string) {
+	buf := bodyPool.Get().(*bodyBuf)
+	defer buf.release()
+	body, err := appendBody(buf.b[:0], rec)
+	buf.b = body
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, "%v: render response: %v", saperr.ErrInternal, err)
+		return
+	}
+	writeBody(w, body, source)
+}
+
+// writeBody writes a JSON response body, labelled with its cache source.
+func writeBody(w http.ResponseWriter, body []byte, source string) {
 	h := w.Header()
 	h.Set("Content-Type", "application/json")
 	h.Set("Content-Length", strconv.Itoa(len(body)))

@@ -204,5 +204,5 @@ func writeSessionResponse(w http.ResponseWriter, id string, res *session.Result)
 		return
 	}
 	body = append(body, '\n')
-	writeSolveResponse(w, body, "session")
+	writeBody(w, body, "session")
 }

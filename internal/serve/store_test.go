@@ -1,12 +1,16 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/binary"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
+	"sapalloc/internal/model"
 	"sapalloc/internal/obs"
+	"sapalloc/internal/sapcache"
 	"sapalloc/internal/store"
 )
 
@@ -110,12 +114,19 @@ func TestServeStoreDisabledIdentical(t *testing.T) {
 // TestServeStoreDegradedNeverPersisted pins the degraded-never-persisted
 // rule at the codec boundary: encodeStored must refuse degraded
 // responses, so they can reach neither the LRU (Add call sites skip them)
-// nor the disk.
+// nor the disk. A healthy answer round-trips as its packed record, and
+// values that are not packed answers, the older JSON-body format among
+// them, fail to decode.
 func TestServeStoreDegradedNeverPersisted(t *testing.T) {
-	if _, ok := encodeStored(&cachedResponse{body: []byte("x"), tasks: 1, degraded: true}); ok {
+	rec, err := appendPathAnswer(nil, "small/strip-pack", false, 7, 0,
+		[]model.Placement{{Task: model.Task{ID: 3, Start: 0, End: 1, Demand: 1, Weight: 5}, Height: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := encodeStored(&cachedResponse{rec: rec, tasks: 7, degraded: true}); ok {
 		t.Fatal("encodeStored accepted a degraded response")
 	}
-	raw, ok := encodeStored(&cachedResponse{body: []byte("body\n"), tasks: 7})
+	raw, ok := encodeStored(&cachedResponse{rec: rec, tasks: 7})
 	if !ok {
 		t.Fatal("encodeStored refused a healthy response")
 	}
@@ -124,11 +135,89 @@ func TestServeStoreDegradedNeverPersisted(t *testing.T) {
 		t.Fatalf("decodeStored: %v", err)
 	}
 	resp := v.(*cachedResponse)
-	if string(resp.body) != "body\n" || resp.tasks != 7 || cost != 7 {
+	if !bytes.Equal(resp.rec, rec) || resp.tasks != 7 || resp.degraded || cost != 7 {
 		t.Fatalf("codec round-trip mismatch: %+v cost=%d", resp, cost)
+	}
+	body, err := appendBody(nil, resp.rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const wantBody = `{"kind":"path","weight":5,"winner":"small/strip-pack","scheduled":1,"tasks":7,"items":[{"task_id":3,"height":2}]}` + "\n"
+	if string(body) != wantBody {
+		t.Fatalf("decoded record renders %q, want %q", body, wantBody)
 	}
 	if _, _, err := decodeStored([]byte{1, 2}); err == nil {
 		t.Fatal("decodeStored accepted a truncated record")
+	}
+	if _, _, err := decodeStored(oldStoredValue(7, []byte(wantBody))); err == nil {
+		t.Fatal("decodeStored accepted a value in the JSON-body format")
+	}
+	if _, _, err := decodeStored(append(bytes.Clone(rec), 0)); err == nil {
+		t.Fatal("decodeStored accepted a record with trailing bytes")
+	}
+}
+
+// oldStoredValue is a store value in the format that held the response
+// body: a 4-byte big-endian task count, then the body.
+func oldStoredValue(tasks uint32, body []byte) []byte {
+	return append(binary.BigEndian.AppendUint32(nil, tasks), body...)
+}
+
+// TestServeStoreOldRecord checks that a store value in the JSON-body
+// format is answered as a miss: the solve re-runs, its answer replaces
+// the value, and the next request is answered from the cache or the store
+// with the bytes of the miss.
+func TestServeStoreOldRecord(t *testing.T) {
+	dir := t.TempDir()
+	in := testInstance(0)
+	body := encodeInstance(t, in)
+	in.Normalize()
+	key := store.Key(sapcache.KeyOf(in))
+
+	st := testStore(t, dir)
+	if err := st.Put(key, oldStoredValue(uint32(len(in.Tasks)), []byte(`{"kind":"path","weight":1,"winner":"path","scheduled":0,"tasks":9,"items":[]}`+"\n"))); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	ts := newTestServer(t, Config{Store: st})
+	resp1, got1 := postJSON(t, ts, "/v1/solve", body)
+	if resp1.StatusCode != 200 || resp1.Header.Get("X-Sapalloc-Cache") != "miss" {
+		t.Fatalf("old record: status %d, source %q, want a miss", resp1.StatusCode, resp1.Header.Get("X-Sapalloc-Cache"))
+	}
+	if obs.SolvesStarted.Value() == 0 {
+		t.Fatal("the old record was answered without a solve")
+	}
+	raw, ok, err := st.Get(key)
+	if err != nil || !ok {
+		t.Fatalf("store lost the key: ok=%v err=%v", ok, err)
+	}
+	if _, _, err := decodeStored(raw); err != nil {
+		t.Fatalf("the re-solve did not rewrite the record: %v", err)
+	}
+	resp2, got2 := postJSON(t, ts, "/v1/solve", body)
+	if src := resp2.Header.Get("X-Sapalloc-Cache"); src != "hit" {
+		t.Fatalf("second request source = %q, want hit", src)
+	}
+	if !bytes.Equal(got2, got1) {
+		t.Fatalf("hit differs from the miss:\n%s\n%s", got1, got2)
+	}
+	ts.Close()
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// A restarted server answers from the rewritten record.
+	st2 := testStore(t, dir)
+	t.Cleanup(func() { st2.Close() })
+	ts2 := newTestServer(t, Config{Store: st2})
+	resp3, got3 := postJSON(t, ts2, "/v1/solve", body)
+	if src := resp3.Header.Get("X-Sapalloc-Cache"); src != "store" {
+		t.Fatalf("restarted source = %q, want store", src)
+	}
+	if !bytes.Equal(got3, got1) {
+		t.Fatalf("store answer differs from the miss:\n%s\n%s", got1, got3)
 	}
 }
 
